@@ -160,11 +160,6 @@ void AppendRunReport(const RunReport& report) {
 
 }  // namespace
 
-void AppendBenchJson(const std::string& label, uint64_t k, double wall_ms,
-                     const JoinStats& stats) {
-  AppendJsonStats(label.c_str(), k, wall_ms, stats);
-}
-
 RunResult RunKdjCold(BenchEnv& env, core::KdjAlgorithm algorithm, uint64_t k,
                      const core::JoinOptions& options) {
   RunResult run;

@@ -74,13 +74,6 @@ RunResult RunKdjCold(BenchEnv& env, core::KdjAlgorithm algorithm, uint64_t k,
 RunResult RunIdjCold(BenchEnv& env, core::IdjAlgorithm algorithm, uint64_t k,
                      const core::JoinOptions& options);
 
-/// Appends one AMDJ_BENCH_JSON line for a run measured outside the
-/// Run*Cold helpers (e.g. the sharded executor): `label` lands in the
-/// "algorithm" field, and the full counter block — including the
-/// shard_pairs_* pruning counters — rides along under "stats".
-void AppendBenchJson(const std::string& label, uint64_t k, double wall_ms,
-                     const JoinStats& stats);
-
 /// Formatting helpers: every bench prints a Markdown-ish table mirroring
 /// its figure/table in the paper.
 void PrintHeader(const std::string& title, const BenchEnv& env);

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure of EXPERIMENTS.md. Usage:
-#   scripts/run_all_benches.sh [build-dir] [out-dir] [extra bench flags...]
-# e.g. a paper-scale run:
+#   scripts/run_all_benches.sh [build-dir] [out-dir] [json-out]
+#                              [extra bench flags...]
+# e.g. a snapshot to check in, and a paper-scale run:
+#   scripts/run_all_benches.sh build bench_results BENCH_PR14.json
 #   scripts/run_all_benches.sh build results --streets=633461 --hydro=189642
 #
 # Besides the human-readable tables in OUT_DIR, assembles a machine-readable
-# BENCH_PR10.json at the repo root: per figure-bench the wall ms, node
-# accesses and distance computations of every measured run (emitted by
+# JSON summary at JSON_OUT (default OUT_DIR/bench.json; a third argument
+# not starting with -- is taken as JSON_OUT): per figure-bench the wall ms,
+# node accesses and distance computations of every measured run (emitted by
 # bench_common via AMDJ_BENCH_JSON), per microbench the google-benchmark
 # JSON entries including custom counters (per-op push/pop latency, queue
 # splits/swap-ins/prefetch hits), and per throughput-bench (the closed-loop
@@ -17,10 +20,14 @@
 # (phase deltas + cutoff trajectory) via AMDJ_BENCH_REPORT_JSON.
 set -u
 
-REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench_results}
 shift 2 2>/dev/null || shift $# 2>/dev/null || true
+JSON_OUT="$OUT_DIR/bench.json"
+if [ $# -gt 0 ] && [[ "$1" != --* ]]; then
+  JSON_OUT=$1
+  shift
+fi
 EXTRA_FLAGS=("$@")
 
 mkdir -p "$OUT_DIR/json"
@@ -62,7 +69,7 @@ for bench in "$BUILD_DIR"/bench/*; do
   fi
 done
 
-# Assemble BENCH_PR10.json from the per-bench artifacts.
+# Assemble the JSON summary from the per-bench artifacts.
 if command -v jq >/dev/null 2>&1; then
   {
     # bench -> total wall ms and exit code, as measured by this script
@@ -106,11 +113,11 @@ if command -v jq >/dev/null 2>&1; then
        --arg flags "${EXTRA_FLAGS[*]:-}" \
        "$OUT_DIR/json/_wall.json" "$OUT_DIR/json/_figs.json" \
        "$OUT_DIR/json/_micro.json" "$OUT_DIR/json/_throughput.json" \
-       >"$REPO_ROOT/BENCH_PR10.json"
-    echo "wrote $REPO_ROOT/BENCH_PR10.json"
-  } || { echo "BENCH_PR10.json assembly failed" >&2; status=1; }
+       >"$JSON_OUT"
+    echo "wrote $JSON_OUT"
+  } || { echo "$JSON_OUT assembly failed" >&2; status=1; }
 else
-  echo "jq not found: skipping BENCH_PR10.json" >&2
+  echo "jq not found: skipping $JSON_OUT" >&2
 fi
 
 echo "outputs in $OUT_DIR/"

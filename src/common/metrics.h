@@ -111,8 +111,8 @@ class Counter {
   metrics_internal::PaddedU64 shards_[metrics_internal::kShards];
 };
 
-/// Instantaneous signed level (in-flight queries, queue depth, live shard
-/// pairs). Same sharded representation as Counter; the level is the sum of
+/// Instantaneous signed level (in-flight queries, queued requests, busy
+/// workers). Same sharded representation as Counter; the level is the sum of
 /// per-shard deltas, so Add/Sub from any thread balance globally.
 class Gauge {
  public:

@@ -26,12 +26,9 @@ namespace amdj {
 ///
 /// Serialized as JSON (ToJson) and as an aligned human table (ToTable).
 ///
-/// Threading: all methods must be called from the coordinating thread (the
-/// one running the join loop). The parallel executor only transitions
-/// phases between rounds, when workers are quiescent, so reading the
-/// shared JoinStats at a phase boundary is race-free. OnQueueDepth is the
-/// one hot-path hook (called per main-queue push, coordinator-only); it is
-/// a compare-and-update, nothing more.
+/// Threading: all methods must be called from the thread running the join
+/// loop. OnQueueDepth is the one hot-path hook (called per main-queue
+/// push); it is a compare-and-update, nothing more.
 ///
 /// Reuse: a RunReport accumulates exactly one run. RunKDistanceJoin /
 /// the IDJ cursor call Finish() automatically when one is attached via
@@ -39,7 +36,7 @@ namespace amdj {
 class RunReport {
  public:
   struct CutoffPoint {
-    std::string label;       ///< e.g. "initial_edmax", "correction", "qdmax".
+    std::string label;       ///< e.g. "initial_edmax", "stage_edmax".
     double distance = 0.0;   ///< Distance space (not metric key).
     uint64_t pairs_so_far = 0;
   };

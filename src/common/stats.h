@@ -79,26 +79,6 @@ struct JoinStats {
   /// Number of node-pair expansions performed.
   uint64_t node_expansions = 0;
 
-  // --- parallel executor (JoinOptions::parallelism > 1 only) ---
-  /// Batched expansion rounds executed.
-  uint64_t parallel_rounds = 0;
-  /// Node-pair tasks handed to the batch expander across all rounds.
-  uint64_t parallel_tasks = 0;
-  /// Rounds aborted by the tie guard (remaining tasks re-queued).
-  uint64_t parallel_tie_aborts = 0;
-
-  // --- sharded execution (core/shard_executor.h only) ---
-  /// Shard pairs enumerated by the scheduler (non-empty x non-empty).
-  uint64_t shard_pairs_considered = 0;
-  /// Shard pairs pruned from bounds alone (MinDist beyond the count-based
-  /// MaxDist prefix bound) before any tree I/O.
-  uint64_t shard_pairs_pruned_bounds = 0;
-  /// Shard pairs pruned at dispatch time by the tightened global cutoff
-  /// (results of earlier pairs shrank it below the pair's MinDist).
-  uint64_t shard_pairs_pruned_cutoff = 0;
-  /// Shard pairs that actually executed a per-pair join.
-  uint64_t shard_pairs_executed = 0;
-
   // --- cross-query shared work (service/shared_work.h) ---
   /// 1 when this response was produced by the JoinService shared-work
   /// layer — piggybacked on an identical in-flight execution or answered
@@ -176,20 +156,6 @@ void ForEachJoinStatsFieldPair(StatsA&& a, StatsB&& b, Fn&& fn) {
   fn("pairs_produced", a.pairs_produced, b.pairs_produced,
      StatFieldKind::kAdd);
   fn("node_expansions", a.node_expansions, b.node_expansions,
-     StatFieldKind::kAdd);
-  fn("parallel_rounds", a.parallel_rounds, b.parallel_rounds,
-     StatFieldKind::kAdd);
-  fn("parallel_tasks", a.parallel_tasks, b.parallel_tasks,
-     StatFieldKind::kAdd);
-  fn("parallel_tie_aborts", a.parallel_tie_aborts, b.parallel_tie_aborts,
-     StatFieldKind::kAdd);
-  fn("shard_pairs_considered", a.shard_pairs_considered,
-     b.shard_pairs_considered, StatFieldKind::kAdd);
-  fn("shard_pairs_pruned_bounds", a.shard_pairs_pruned_bounds,
-     b.shard_pairs_pruned_bounds, StatFieldKind::kAdd);
-  fn("shard_pairs_pruned_cutoff", a.shard_pairs_pruned_cutoff,
-     b.shard_pairs_pruned_cutoff, StatFieldKind::kAdd);
-  fn("shard_pairs_executed", a.shard_pairs_executed, b.shard_pairs_executed,
      StatFieldKind::kAdd);
   fn("shared_hit", a.shared_hit, b.shared_hit, StatFieldKind::kAdd);
   fn("cpu_seconds", a.cpu_seconds, b.cpu_seconds, StatFieldKind::kAdd);

@@ -9,7 +9,7 @@ namespace amdj {
 /// Runtime guard for thread-confined (single-writer) components — the
 /// complement of the compile-time lock annotations in common/annotations.h
 /// for state that is protected by *confinement* rather than by a mutex
-/// (HybridQueue's split/swap-in path, BatchExpander's coordinator side).
+/// (HybridQueue's split/swap-in path).
 /// Clang's thread-safety analysis cannot express "only ever touched by one
 /// thread", so these contracts are enforced here instead: the checker
 /// binds to the first calling thread and reports whether later calls come

@@ -4,474 +4,10 @@
 #include "common/trace.h"
 #include "core/dmax_estimator.h"
 #include "core/expansion.h"
-#include "core/parallel.h"
 #include "core/plane_sweeper.h"
 #include "core/qdmax_tracker.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace amdj::core {
-
-namespace {
-
-/// Batched-round parallel AM-KDJ (JoinOptions::parallelism > 1), the
-/// paper's default two-stage structure. Stage one pops node pairs within
-/// eDmax in rounds; each task carries the eDmax in effect when it was
-/// popped as its *static* axis cutoff, so the examined sweep prefix — and
-/// therefore the compensation bookkeeping recorded on an uncovered sweep —
-/// is exactly what the sequential stage would have recorded. The real-
-/// distance filter tracks the shared qDmax (stale reads only ever admit
-/// extra candidates; the coordinator re-filters at merge). Stage two is a
-/// parallel B-KDJ round loop that reuses recorded plans and skips the
-/// stage-one prefix. See DESIGN.md "Concurrency model".
-StatusOr<std::vector<ResultPair>> RunParallelTwoStage(
-    const rtree::RTree& r, const rtree::RTree& s, uint64_t k,
-    const JoinOptions& options, JoinStats* stats) {
-  std::vector<ResultPair> results;
-  const DmaxEstimator fallback_estimator(r.bounds(), r.size(), s.bounds(),
-                                         s.size(), options.metric);
-  const CutoffEstimator* estimator = options.estimator != nullptr
-                                         ? options.estimator
-                                         : &fallback_estimator;
-  // eDmax lives in key space like every internal cutoff; the estimator API
-  // stays in distance space and converts at this boundary.
-  geom::KeyVal edmax = geom::DistanceToKeyCutoff(
-      InitialEdmaxEstimate(options, *estimator, k),
-      options.metric);
-  if (options.report != nullptr) {
-    options.report->BeginPhase("aggressive", *stats);
-    options.report->OnCutoff("initial_edmax",
-                             geom::KeyToDistance(edmax, options.metric).raw(), 0);
-  }
-  AMDJ_TRACE(options.tracer,
-             Counter("edmax",
-                     geom::KeyToDistance(edmax, options.metric).raw()));
-  const auto finish_report = [&options, &stats](
-                                 const std::vector<ResultPair>& results) {
-    if (options.report == nullptr) return;
-    if (!results.empty()) {
-      options.report->OnCutoff("final_dmax", results.back().distance,
-                               results.size());
-    }
-    options.report->EndPhase(*stats);
-  };
-
-  MainQueue queue(MakeMainQueueOptions(r, s, options), stats,
-                  MakeMainQueueCompare(options));
-  QdmaxTracker tracker(k, options, stats);
-  std::vector<PairEntry> compensation;
-  {
-    const PairEntry root = MakePair(RootRef(r), RootRef(s), options.metric);
-    AMDJ_RETURN_IF_ERROR(queue.Push(root));
-    tracker.OnPush(root);
-  }
-
-  BatchExpander expander(r, s, options);
-  const PairEntryCompare before = MakeMainQueueCompare(options);
-  std::vector<PairEntry> popped;
-  std::vector<ExpandTask> tasks;
-  PairEntry c;
-
-  // ------------------------------------------------------------------
-  // Stage one: aggressive pruning, batched.
-  bool compensate = false;
-  while (results.size() < k && !queue.Empty() && !compensate) {
-    tasks.clear();
-    while (tasks.size() < expander.batch_limit() && results.size() < k) {
-      const Status peek = queue.Peek(&c);
-      if (peek.code() == StatusCode::kOutOfRange) break;  // drained
-      AMDJ_RETURN_IF_ERROR(peek);
-      const geom::KeyVal qdmax = tracker.Cutoff();
-      if (qdmax <= edmax) edmax = qdmax;  // overestimate clamp (line 8)
-      if (c.key > edmax) {
-        // Frontier left the eDmax radius: finish this batch, then switch
-        // to the compensation stage. The triggering entry stays queued
-        // (the sequential loop pops and re-pushes it; same net effect).
-        compensate = true;
-        break;
-      }
-      if (c.IsObjectPair()) {
-        // Emittable only with no expansions pending in this batch — a
-        // pending expansion could produce a child that precedes it.
-        if (!tasks.empty()) break;
-        AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
-        results.push_back({geom::KeyToDistance(c.key, options.metric).raw(),
-                           c.r.id, c.s.id});
-        ++stats->pairs_produced;
-        continue;
-      }
-      // Serialize tie plateaus (see bkdj.cc): a tied batch-mate's children
-      // routinely trigger the tie-guard abort, wasting the whole round.
-      if (!tasks.empty() && c.key == tasks.back().pair.key) break;
-      AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
-      tracker.OnNodePairLeave(c);
-      ExpandTask t;
-      t.pair = c;
-      t.static_axis_cutoff = edmax;  // line 22: aggressive axis pruning
-      tasks.push_back(t);
-    }
-    if (tasks.empty()) continue;
-    ++stats->parallel_rounds;
-    stats->parallel_tasks += tasks.size();
-    TraceSpan round_span(options.tracer, "parallel_round",
-                         {{"tasks", static_cast<double>(tasks.size())},
-                          {"edmax_key", edmax.raw()}});
-
-    bool aborted = false;
-    AMDJ_RETURN_IF_ERROR(expander.Run(
-        tasks, tracker.Cutoff(),
-        [&](size_t i, ExpandSlot* slot) -> StatusOr<bool> {
-          FoldSlotStats(slot, stats);
-          bool tie_hazard = false;
-          for (const PairEntry& e : slot->candidates) {
-            if (e.key > tracker.Cutoff()) continue;  // exact filter
-            AMDJ_RETURN_IF_ERROR(queue.Push(e));
-            tracker.OnPush(e);
-            if (!tie_hazard) {
-              tie_hazard = TiesAheadOfPendingTask(e, tasks, i + 1, before);
-            }
-          }
-          expander.Tighten(tracker.Cutoff());
-          if (!slot->covered) {
-            // Some sweep suffix was skipped under this task's eDmax:
-            // record the pair and that exact cutoff for compensation.
-            PairEntry bounced = tasks[i].pair;
-            bounced.prior_cutoff = tasks[i].static_axis_cutoff;
-            bounced.prior_axis = static_cast<int8_t>(slot->plan.axis);
-            bounced.prior_dir =
-                slot->plan.dir == geom::SweepDirection::kForward ? int8_t{0}
-                                                                 : int8_t{1};
-            compensation.push_back(bounced);
-            ++stats->compensation_queue_insertions;
-          }
-          // Tie guard (see bkdj.cc): a pushed child exactly tying a
-          // pending task and out-ranking it via the tie-break would have
-          // been processed first sequentially — abort and re-pop.
-          if (tie_hazard) {
-            ++stats->parallel_tie_aborts;
-            AMDJ_TRACE(
-                options.tracer,
-                Instant("tie_guard_abort",
-                        {{"merged", static_cast<double>(i + 1)},
-                         {"requeued",
-                          static_cast<double>(tasks.size() - i - 1)}}));
-            for (size_t j = i + 1; j < tasks.size(); ++j) {
-              AMDJ_RETURN_IF_ERROR(queue.Push(tasks[j].pair));
-              tracker.OnPush(tasks[j].pair);
-            }
-            aborted = true;
-            return false;
-          }
-          return true;
-        }));
-    size_t wasted = 0;
-    for (const ExpandTask& t : tasks) {
-      if (t.pair.key > std::min(edmax, tracker.Cutoff())) ++wasted;
-    }
-    expander.ReportRound(tasks.size(), wasted);
-    // An aborted round re-queued unexpanded tasks; re-collect them in
-    // stage one so the frontier check and eDmax clamp replay exactly as
-    // the sequential stage would have seen them.
-    if (aborted) compensate = false;
-  }
-
-  if (!compensate && results.size() < k && !compensation.empty()) {
-    compensate = true;  // queue drained with recoverable pairs left
-  }
-  if (results.size() >= k || !compensate) {
-    finish_report(results);
-    return results;
-  }
-
-  // ------------------------------------------------------------------
-  // Compensation stage, batched.
-  AMDJ_TRACE(options.tracer,
-             Instant("stage_transition",
-                     {{"edmax",
-                       geom::KeyToDistance(edmax, options.metric).raw()},
-                      {"qdmax", geom::KeyToDistance(tracker.Cutoff(),
-                                                    options.metric)
-                                    .raw()},
-                      {"pairs_so_far",
-                       static_cast<double>(results.size())},
-                      {"compensation_pairs",
-                       static_cast<double>(compensation.size())}}));
-  if (options.report != nullptr) {
-    options.report->OnCutoff(
-        "stage_transition_edmax",
-        geom::KeyToDistance(edmax, options.metric).raw(), results.size());
-    options.report->BeginPhase("compensation", *stats);
-  }
-  for (const PairEntry& e : compensation) {
-    AMDJ_RETURN_IF_ERROR(queue.Push(e));
-  }
-  compensation.clear();
-
-  const auto is_object = [](const PairEntry& e) { return e.IsObjectPair(); };
-  while (results.size() < k && !queue.Empty()) {
-    popped.clear();
-    AMDJ_RETURN_IF_ERROR(
-        queue.PopBatch(k - results.size(), is_object, &popped));
-    for (const PairEntry& e : popped) {
-      results.push_back({geom::KeyToDistance(e.key, options.metric).raw(),
-                         e.r.id, e.s.id});
-      ++stats->pairs_produced;
-    }
-    if (results.size() >= k) break;
-
-    popped.clear();
-    geom::KeyVal prev_key = geom::KeyVal::Zero();
-    AMDJ_RETURN_IF_ERROR(queue.PopBatch(
-        expander.batch_limit(),
-        [&](const PairEntry& e) {
-          if (e.IsObjectPair()) return false;
-          if (!popped.empty() && e.key == prev_key) return false;
-          prev_key = e.key;
-          return true;
-        },
-        &popped));
-    tasks.clear();
-    for (const PairEntry& e : popped) {
-      tracker.OnNodePairLeave(e);
-      if (e.key > tracker.Cutoff()) continue;
-      ExpandTask t;
-      t.pair = e;
-      if (e.WasExpanded()) {
-        // Reproduce the stage-one sweep order and skip its prefix.
-        t.has_fixed_plan = true;
-        t.plan.axis = e.prior_axis;
-        t.plan.dir = e.prior_dir == 0 ? geom::SweepDirection::kForward
-                                      : geom::SweepDirection::kBackward;
-        t.skip_below = e.prior_cutoff;
-      }
-      tasks.push_back(t);
-    }
-    if (tasks.empty()) continue;
-    ++stats->parallel_rounds;
-    stats->parallel_tasks += tasks.size();
-    TraceSpan round_span(options.tracer, "parallel_round",
-                         {{"tasks", static_cast<double>(tasks.size())},
-                          {"cutoff_key", tracker.Cutoff().raw()}});
-
-    AMDJ_RETURN_IF_ERROR(expander.Run(
-        tasks, tracker.Cutoff(),
-        [&](size_t i, ExpandSlot* slot) -> StatusOr<bool> {
-          FoldSlotStats(slot, stats);
-          bool tie_hazard = false;
-          for (const PairEntry& e : slot->candidates) {
-            if (e.key > tracker.Cutoff()) continue;
-            AMDJ_RETURN_IF_ERROR(queue.Push(e));
-            tracker.OnPush(e);
-            if (!tie_hazard) {
-              tie_hazard = TiesAheadOfPendingTask(e, tasks, i + 1, before);
-            }
-          }
-          expander.Tighten(tracker.Cutoff());
-          // Tie guard (see bkdj.cc): exact key ties only. Re-pushed
-          // tasks keep their prior_* bookkeeping, so a re-pop resumes the
-          // same compensation sweep.
-          if (tie_hazard) {
-            ++stats->parallel_tie_aborts;
-            AMDJ_TRACE(
-                options.tracer,
-                Instant("tie_guard_abort",
-                        {{"merged", static_cast<double>(i + 1)},
-                         {"requeued",
-                          static_cast<double>(tasks.size() - i - 1)}}));
-            for (size_t j = i + 1; j < tasks.size(); ++j) {
-              AMDJ_RETURN_IF_ERROR(queue.Push(tasks[j].pair));
-              tracker.OnPush(tasks[j].pair);
-            }
-            return false;
-          }
-          return true;
-        }));
-    size_t wasted = 0;
-    for (const ExpandTask& t : tasks) {
-      if (t.pair.key > tracker.Cutoff()) ++wasted;
-    }
-    expander.ReportRound(tasks.size(), wasted);
-  }
-  finish_report(results);
-  return results;
-}
-
-/// Section 4.3.2 variant: one unified loop whose cutoff grows through
-/// runtime corrections, interleaving recovery rounds (merge the
-/// compensation queue back) until the exact qDmax takes over. Used when
-/// JoinOptions::kdj_adaptive_correction is set; the default Run() below
-/// keeps the paper's two-stage structure (initial estimate only).
-StatusOr<std::vector<ResultPair>> RunAdaptive(const rtree::RTree& r,
-                                              const rtree::RTree& s,
-                                              uint64_t k,
-                                              const JoinOptions& options,
-                                              JoinStats* stats) {
-  std::vector<ResultPair> results;
-  const DmaxEstimator fallback_estimator(r.bounds(), r.size(), s.bounds(),
-                                         s.size(), options.metric);
-  const CutoffEstimator* estimator = options.estimator != nullptr
-                                         ? options.estimator
-                                         : &fallback_estimator;
-  geom::KeyVal edmax = geom::DistanceToKeyCutoff(
-      InitialEdmaxEstimate(options, *estimator, k),
-      options.metric);
-  if (options.report != nullptr) {
-    options.report->BeginPhase("adaptive", *stats);
-    options.report->OnCutoff("initial_edmax",
-                             geom::KeyToDistance(edmax, options.metric).raw(), 0);
-  }
-  AMDJ_TRACE(options.tracer,
-             Counter("edmax",
-                     geom::KeyToDistance(edmax, options.metric).raw()));
-
-  MainQueue queue(MakeMainQueueOptions(r, s, options), stats,
-                  MakeMainQueueCompare(options));
-  QdmaxTracker tracker(k, options, stats);
-  std::vector<PairEntry> compensation;
-  // Smallest cutoff key under which a queued compensation pair was
-  // examined: emitting beyond it could overtake a recoverable pruned child.
-  geom::KeyVal barrier = geom::KeyVal::Infinity();
-  // Distance space (fed back to the estimator's Correct()).
-  geom::DistVal last_emitted = geom::DistVal::Zero();
-  {
-    const PairEntry root = MakePair(RootRef(r), RootRef(s), options.metric);
-    AMDJ_RETURN_IF_ERROR(queue.Push(root));
-    tracker.OnPush(root);
-  }
-
-  std::vector<PairRef> left;
-  std::vector<PairRef> right;
-  PairEntry c;
-  while (results.size() < k && !queue.Empty()) {
-    AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
-    if (!c.IsObjectPair()) tracker.OnNodePairLeave(c);
-    geom::KeyVal qdmax = tracker.Cutoff();
-    if (qdmax <= edmax) edmax = qdmax;  // overestimate clamp (line 8)
-
-    if (c.key > std::min(edmax, barrier)) {
-      if (compensation.empty() && c.key > qdmax) {
-        continue;  // beyond the exact cutoff: can never contribute
-      }
-      // Frontier left the safe radius: grow the estimate (Eq. 4/5 /
-      // custom correction) if it still helps, else adopt qDmax, then
-      // recover the compensation queue and resume.
-      AMDJ_RETURN_IF_ERROR(queue.Push(c));
-      if (!c.IsObjectPair()) tracker.OnPush(c);
-      geom::KeyVal next = qdmax;
-      if (!results.empty() && results.size() < k) {
-        const geom::KeyVal corrected = geom::DistanceToKeyCutoff(
-            estimator->Correct(
-                k, results.size(), last_emitted,
-                options.correction == CorrectionPolicy::kAggressive),
-            options.metric);
-        if (corrected > edmax && corrected < qdmax) next = corrected;
-      }
-      AMDJ_TRACE(
-          options.tracer,
-          Instant("edmax_correction",
-                  {{"old_edmax",
-                    geom::KeyToDistance(edmax, options.metric).raw()},
-                   {"new_edmax",
-                    geom::KeyToDistance(next, options.metric).raw()},
-                   {"pairs_so_far", static_cast<double>(results.size())},
-                   {"recovered",
-                    static_cast<double>(compensation.size())}}));
-      if (options.report != nullptr) {
-        options.report->OnCutoff(
-            "correction", geom::KeyToDistance(next, options.metric).raw(),
-            results.size());
-      }
-      edmax = next;  // strictly above the old value, or the exact qDmax
-      for (const PairEntry& e : compensation) {
-        AMDJ_RETURN_IF_ERROR(queue.Push(e));
-        tracker.OnPush(e);  // no-op: expanded pairs carry no certificate
-      }
-      compensation.clear();
-      barrier = geom::KeyVal::Infinity();
-      continue;
-    }
-
-    if (c.IsObjectPair()) {
-      const geom::DistVal dist = geom::KeyToDistance(c.key, options.metric);
-      results.push_back({dist.raw(), c.r.id, c.s.id});
-      last_emitted = dist;
-      ++stats->pairs_produced;
-      continue;
-    }
-
-    ++stats->node_expansions;
-    TraceSpan span(options.tracer, "expand_sweep",
-                   {{"r_level", static_cast<double>(c.r.level)},
-                    {"s_level", static_cast<double>(c.s.level)},
-                    {"key", c.key.raw()}});
-    AMDJ_RETURN_IF_ERROR(ChildList(r, c.r, options.r_window, &left));
-    AMDJ_RETURN_IF_ERROR(ChildList(s, c.s, options.s_window, &right));
-    SweepPlan plan;
-    geom::KeyVal prior{-1.0};
-    if (c.WasExpanded()) {
-      plan.axis = c.prior_axis;
-      plan.dir = c.prior_dir == 0 ? geom::SweepDirection::kForward
-                                  : geom::SweepDirection::kBackward;
-      prior = c.prior_cutoff;
-    } else {
-      plan = ChooseSweepPlan(c.r.rect, c.s.rect,
-                             geom::KeyToDistance(edmax, options.metric),
-                             options.sweep);
-    }
-
-    Status sweep_status;
-    // Static axis cutoff: it defines the examined prefix the recorded
-    // bookkeeping must describe exactly.
-    geom::KeyVal axis_cutoff = edmax;
-    KeyedSweepSpec spec;
-    spec.metric = options.metric;
-    spec.axis_cutoff_key = &axis_cutoff;
-    spec.dist_cutoff_key = &qdmax;  // permanent filter: the exact cutoff
-    spec.skip_axis_below_key = prior;  // examined in an earlier round
-    const bool covered =
-        PlaneSweepKeyed(
-            left, right, plan, spec, stats,
-            [&](const PairRef& lref, const PairRef& rref,
-                geom::KeyVal dist_key) {
-              if (!sweep_status.ok()) return;
-              if (options.exclude_same_id && IsSelfPair(lref, rref)) return;
-              PairEntry e;
-              e.r = lref;
-              e.s = rref;
-              e.key = dist_key;
-              sweep_status = queue.Push(e);
-              if (!sweep_status.ok()) {
-                axis_cutoff = geom::KeyVal(-1.0);
-                return;
-              }
-              tracker.OnPush(e);
-              qdmax = tracker.Cutoff();
-            })
-            .axis_covered;
-    AMDJ_RETURN_IF_ERROR(sweep_status);
-
-    if (!covered) {
-      c.prior_cutoff = std::max(edmax, prior);
-      c.prior_axis = static_cast<int8_t>(plan.axis);
-      c.prior_dir =
-          plan.dir == geom::SweepDirection::kForward ? int8_t{0} : int8_t{1};
-      compensation.push_back(c);
-      barrier = std::min(barrier, c.prior_cutoff);
-      ++stats->compensation_queue_insertions;
-    }
-  }
-  if (options.report != nullptr) {
-    if (!results.empty()) {
-      options.report->OnCutoff("final_dmax", results.back().distance,
-                               results.size());
-    }
-    options.report->EndPhase(*stats);
-  }
-  return results;
-}
-
-}  // namespace
 
 StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
                                              const rtree::RTree& s,
@@ -482,14 +18,6 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
   if (k == 0 || r.size() == 0 || s.size() == 0) return results;
   JoinStats local;
   if (stats == nullptr) stats = &local;
-  if (options.kdj_adaptive_correction) {
-    // The runtime-corrected variant stays sequential: its barrier/recovery
-    // interleaving serializes rounds anyway (see options.h::parallelism).
-    return RunAdaptive(r, s, k, options, stats);
-  }
-  if (options.parallelism > 1) {
-    return RunParallelTwoStage(r, s, k, options, stats);
-  }
 
   const DmaxEstimator fallback_estimator(r.bounds(), r.size(), s.bounds(),
                                          s.size(), options.metric);
@@ -650,15 +178,6 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
 
   while (results.size() < k && !queue.Empty()) {
     AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
-    // Sharded execution: the compensation queue has been merged back by
-    // now, so the frontier passing the external global cutoff means no
-    // remaining entry (or descendant) can enter the merged top-k; see
-    // bkdj.cc. Stage one needs no such check — its eDmax clamp already
-    // absorbs the external bound and forces the stage transition.
-    if (options.shared_cutoff_key != nullptr &&
-        c.key > options.shared_cutoff_key->load(std::memory_order_relaxed)) {
-      break;
-    }
     if (c.IsObjectPair()) {
       results.push_back({geom::KeyToDistance(c.key, options.metric).raw(),
                          c.r.id, c.s.id});

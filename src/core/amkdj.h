@@ -21,12 +21,6 @@ namespace amdj::core {
 /// ends before k results (eDmax was an underestimate) a compensation stage
 /// re-expands exactly the skipped sweep suffixes under qDmax — guaranteeing
 /// the same results as B-KDJ for *any* eDmax.
-///
-/// With JoinOptions::parallelism > 1 both stages run batched rounds on a
-/// thread pool (shared atomic cutoff, coordinator-side merge); each stage-
-/// one task records the eDmax it swept under, so compensation bookkeeping
-/// stays exact and results equal the sequential run's, values and order.
-/// The kdj_adaptive_correction variant is always sequential.
 class AmKdj {
  public:
   /// Returns the k nearest object pairs in non-decreasing distance order

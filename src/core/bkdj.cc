@@ -3,148 +3,10 @@
 #include "common/run_report.h"
 #include "common/trace.h"
 #include "core/expansion.h"
-#include "core/parallel.h"
 #include "core/plane_sweeper.h"
 #include "core/qdmax_tracker.h"
 
 namespace amdj::core {
-
-namespace {
-
-/// Batched-round parallel B-KDJ (JoinOptions::parallelism > 1). Each round
-/// (a) emits the object pairs at the queue front — they precede every
-/// pending node pair, and children only ever have distance >= their
-/// parent's, so nothing later can overtake them; (b) pops up to one batch
-/// of node pairs, stopping early at the next object pair, which must wait
-/// until the batch's children are merged (a child could tie or beat it);
-/// (c) expands the batch on the pool and merges candidates in task order,
-/// re-filtering against the exact cutoff. The emitted sequence is the
-/// same "top-k object pairs in main-queue order" the sequential loop
-/// produces; see DESIGN.md "Concurrency model" for the full argument.
-StatusOr<std::vector<ResultPair>> RunParallel(const rtree::RTree& r,
-                                              const rtree::RTree& s,
-                                              uint64_t k,
-                                              const JoinOptions& options,
-                                              JoinStats* stats) {
-  std::vector<ResultPair> results;
-  if (options.report != nullptr) options.report->BeginPhase("search", *stats);
-  MainQueue queue(MakeMainQueueOptions(r, s, options), stats,
-                  MakeMainQueueCompare(options));
-  QdmaxTracker tracker(k, options, stats);
-  {
-    const PairEntry root = MakePair(RootRef(r), RootRef(s), options.metric);
-    AMDJ_RETURN_IF_ERROR(queue.Push(root));
-    tracker.OnPush(root);
-  }
-
-  BatchExpander expander(r, s, options);
-  const PairEntryCompare before = MakeMainQueueCompare(options);
-  std::vector<PairEntry> popped;
-  std::vector<ExpandTask> tasks;
-  const auto is_object = [](const PairEntry& e) { return e.IsObjectPair(); };
-
-  while (results.size() < k && !queue.Empty()) {
-    // (a) Emit every ready object pair at the queue front.
-    popped.clear();
-    AMDJ_RETURN_IF_ERROR(
-        queue.PopBatch(k - results.size(), is_object, &popped));
-    for (const PairEntry& e : popped) {
-      results.push_back({geom::KeyToDistance(e.key, options.metric).raw(),
-                         e.r.id, e.s.id});
-      ++stats->pairs_produced;
-    }
-    if (results.size() >= k) break;
-
-    // (b) Collect a batch of node pairs; a following object pair stays
-    // queued until this batch's children have been merged. The adaptive
-    // limit keeps speculation in check (see BatchExpander::batch_limit),
-    // and tie plateaus are serialized: a tied node pair's children often
-    // tie the whole plateau, and a tied child that out-ranks a batch-mate
-    // forces a tie-guard abort — batching a plateau mostly buys discarded
-    // work. One pair per round replays the sequential order exactly.
-    popped.clear();
-    geom::KeyVal prev_key = geom::KeyVal::Zero();
-    AMDJ_RETURN_IF_ERROR(queue.PopBatch(
-        expander.batch_limit(),
-        [&](const PairEntry& e) {
-          if (e.IsObjectPair()) return false;
-          if (!popped.empty() && e.key == prev_key) return false;
-          prev_key = e.key;
-          return true;
-        },
-        &popped));
-    tasks.clear();
-    for (const PairEntry& e : popped) {
-      tracker.OnNodePairLeave(e);
-      if (e.key > tracker.Cutoff()) continue;  // can never contribute
-      ExpandTask t;
-      t.pair = e;
-      tasks.push_back(t);
-    }
-    if (tasks.empty()) continue;
-    ++stats->parallel_rounds;
-    stats->parallel_tasks += tasks.size();
-    TraceSpan round_span(
-        options.tracer, "parallel_round",
-        {{"tasks", static_cast<double>(tasks.size())},
-         {"cutoff_key", tracker.Cutoff().raw()}});
-
-    // (c) Fan out, then merge in task order on this thread.
-    AMDJ_RETURN_IF_ERROR(expander.Run(
-        tasks, tracker.Cutoff(),
-        [&](size_t i, ExpandSlot* slot) -> StatusOr<bool> {
-          FoldSlotStats(slot, stats);
-          bool tie_hazard = false;
-          for (const PairEntry& e : slot->candidates) {
-            // Re-filter against the exact cutoff: the worker's copy may
-            // have been stale (only ever too large).
-            if (e.key > tracker.Cutoff()) continue;
-            AMDJ_RETURN_IF_ERROR(queue.Push(e));
-            tracker.OnPush(e);
-            if (!tie_hazard) {
-              tie_hazard = TiesAheadOfPendingTask(e, tasks, i + 1, before);
-            }
-          }
-          expander.Tighten(tracker.Cutoff());
-          // Tie guard: a pushed child that exactly ties a not-yet-merged
-          // task and out-ranks it via the tie-break would have been
-          // processed by the sequential loop before that task. Abort the
-          // round: re-push the remaining tasks (balancing their
-          // OnNodePairLeave) and let the main queue re-establish the
-          // exact interleaving next round.
-          if (tie_hazard) {
-            ++stats->parallel_tie_aborts;
-            AMDJ_TRACE(
-                options.tracer,
-                Instant("tie_guard_abort",
-                        {{"merged", static_cast<double>(i + 1)},
-                         {"requeued",
-                          static_cast<double>(tasks.size() - i - 1)}}));
-            for (size_t j = i + 1; j < tasks.size(); ++j) {
-              AMDJ_RETURN_IF_ERROR(queue.Push(tasks[j].pair));
-              tracker.OnPush(tasks[j].pair);
-            }
-            return false;
-          }
-          return true;
-        }));
-    size_t wasted = 0;
-    for (const ExpandTask& t : tasks) {
-      if (t.pair.key > tracker.Cutoff()) ++wasted;
-    }
-    expander.ReportRound(tasks.size(), wasted);
-  }
-  if (options.report != nullptr) {
-    if (!results.empty()) {
-      options.report->OnCutoff("final_dmax", results.back().distance,
-                               results.size());
-    }
-    options.report->EndPhase(*stats);
-  }
-  return results;
-}
-
-}  // namespace
 
 StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
                                             const rtree::RTree& s,
@@ -155,7 +17,6 @@ StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
   if (k == 0 || r.size() == 0 || s.size() == 0) return results;
   JoinStats local;
   if (stats == nullptr) stats = &local;
-  if (options.parallelism > 1) return RunParallel(r, s, k, options, stats);
 
   if (options.report != nullptr) options.report->BeginPhase("search", *stats);
   MainQueue queue(MakeMainQueueOptions(r, s, options), stats,
@@ -172,15 +33,6 @@ StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
   PairEntry c;
   while (results.size() < k && !queue.Empty()) {
     AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
-    // Sharded execution: once the frontier passes the externally
-    // maintained global cutoff, nothing left in the queue — pops are
-    // non-decreasing in key, and children never precede their parent —
-    // can enter the merged global top-k. Strict >: ties may still
-    // contribute.
-    if (options.shared_cutoff_key != nullptr &&
-        c.key > options.shared_cutoff_key->load(std::memory_order_relaxed)) {
-      break;
-    }
     if (c.IsObjectPair()) {
       results.push_back({geom::KeyToDistance(c.key, options.metric).raw(),
                          c.r.id, c.s.id});

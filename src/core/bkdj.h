@@ -18,11 +18,6 @@ namespace amdj::core {
 /// sweep: per-pair sweeping-axis selection (minimum sweeping index, Eq. 2)
 /// and sweeping-direction selection (Section 3.3), pruned by the distance
 /// queue's qDmax on both axis and real distances.
-///
-/// With JoinOptions::parallelism > 1 the main loop runs batched rounds on
-/// a thread pool (node pairs expanded/swept concurrently under a shared
-/// atomic cutoff, candidates merged on the coordinating thread); results
-/// are exactly — values and order — those of the sequential run.
 class BKdj {
  public:
   /// Returns the k nearest object pairs in non-decreasing distance order

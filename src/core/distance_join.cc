@@ -137,9 +137,9 @@ StatusOr<std::vector<ResultPair>> RunKDistanceJoin(const rtree::RTree& r,
     options.report->SetMeta(ToString(algorithm), k);
   }
 
-  // Thread-local attribution: node accesses this query performs (on this
-  // thread and on parallel-executor workers) land in `stats`, even when
-  // other queries run concurrently over the same buffer pools.
+  // Thread-local attribution: node accesses this query performs land in
+  // `stats`, even when other queries run concurrently over the same
+  // buffer pools.
   const storage::QueryAttributionScope scope(stats, options.tracer);
   Timer timer;
   StatusOr<std::vector<ResultPair>> result =

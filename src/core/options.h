@@ -1,7 +1,6 @@
 #ifndef AMDJ_CORE_OPTIONS_H_
 #define AMDJ_CORE_OPTIONS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
@@ -64,15 +63,6 @@ enum class CorrectionPolicy : uint8_t {
 };
 
 /// Knobs shared by every distance-join algorithm.
-/// Receiver for candidate result keys (see
-/// JoinOptions::shared_cutoff_sink). Implementations must be
-/// thread-safe: concurrent joins share one sink.
-class CutoffKeySink {
- public:
-  virtual ~CutoffKeySink() = default;
-  virtual void OnResultKey(geom::KeyVal key) = 0;
-};
-
 struct JoinOptions {
   /// In-memory budget of the main queue (the paper's "in-memory portion of
   /// a main queue", 512 KB in most experiments).
@@ -144,35 +134,6 @@ struct JoinOptions {
   /// Main-queue tie handling (see TieBreak).
   TieBreak tie_break = TieBreak::kObjectsFirst;
 
-  /// AM-KDJ only: apply Section 4.3.2's runtime correction. When the
-  /// aggressive stage exhausts its cutoff with fewer than k results, the
-  /// estimate is re-corrected from the results so far (Eq. 4/5 or the
-  /// custom estimator) and the stage *resumes* under the grown cutoff
-  /// (recovering the compensation queue first), instead of falling
-  /// straight back to qDmax-only processing. Off by default — the paper's
-  /// AM-KDJ experiments use the initial estimate alone (Section 5.2).
-  bool kdj_adaptive_correction = false;
-
-  /// Intra-query parallelism for B-KDJ and AM-KDJ: number of worker
-  /// threads expanding node pairs concurrently. 1 (the default) runs the
-  /// paper's sequential algorithms byte-for-byte. Values > 1 switch those
-  /// two algorithms to batched rounds: up to `parallelism * batch_factor`
-  /// node pairs are popped per round, expanded and plane-swept on a
-  /// common/thread_pool.h pool under a shared atomic cutoff, and their
-  /// surviving candidates merged back on the coordinating thread — the
-  /// result list is exactly (values and order) the sequential one; only
-  /// work counters may differ slightly. Ignored by the HS baselines, the
-  /// IDJ cursors, SJ-SORT, and AM-KDJ's kdj_adaptive_correction variant,
-  /// which stay sequential.
-  uint32_t parallelism = 1;
-
-  /// Round size multiplier for the parallel executor: each batched round
-  /// pops up to `parallelism * batch_factor` node pairs. Larger batches
-  /// amortize coordination and overlap merging with expansion, at the cost
-  /// of a slightly staler cutoff (never wrong — the cutoff is an upper
-  /// bound — just admitting a few more candidates).
-  uint32_t batch_factor = 4;
-
   /// Structured tracer (common/trace.h). nullptr (the default) disables
   /// every instrumentation point — one predicted branch each, and the join
   /// behaves byte-for-byte like an uninstrumented build. Not owned; must
@@ -183,43 +144,6 @@ struct JoinOptions {
   /// default) disables it. Not owned; must outlive the join (for the IDJ
   /// cursors: outlive the cursor, whose destructor finalizes the report).
   RunReport* report = nullptr;
-
-  /// External cutoff for sharded execution (core/shard_executor.h): a
-  /// *key-space* upper bound on the k-th final distance, maintained by a
-  /// coordinator outside this join and only ever shrinking. When set, the
-  /// KDJ algorithms min() it into every qDmax consultation (pruning node
-  /// pairs and tightening sweeps early) and the sequential loops stop
-  /// outright once the queue frontier passes it — everything later is
-  /// provably outside the global top-k this join feeds into. Stale reads
-  /// are safe for the same reason as the PR 1 cutoff protocol: the bound
-  /// is monotone non-increasing, so a late-observed value only admits
-  /// extra candidates, never drops one. Not owned; must outlive the join.
-  const std::atomic<geom::KeyVal>* shared_cutoff_key = nullptr;
-
-  /// Optional write side of the shared bound: when set, the KDJ
-  /// algorithms CAS-min their *local* qDmax key into it on every cutoff
-  /// consultation. Sound at every instant: a local qDmax upper-bounds
-  /// this join's k-th result key, which — as the k-th of a subset of the
-  /// global result multiset — upper-bounds the global k-th the
-  /// coordinator cares about. Values only ever shrink (AtomicMinKey), so
-  /// a transiently loosening local cutoff (kAllPairs certificate
-  /// revocation) never un-tightens the shared bound. Typically points at
-  /// the same atomic as shared_cutoff_key, turning the sharded
-  /// executor's between-pairs fold into live feedback: concurrently
-  /// running shard pairs tighten each other mid-flight. Not owned; must
-  /// outlive the join.
-  std::atomic<geom::KeyVal>* shared_cutoff_publish = nullptr;
-
-  /// Optional stream of this join's candidate *result* keys to a
-  /// coordinator. When set, every object-pair distance key entering the
-  /// qDmax tracker is also forwarded here (thread-safety is the sink's
-  /// problem). The k-th smallest of any set of real pair distances is an
-  /// upper bound on the global k-th, so a sink pooling keys across
-  /// concurrent shard-pair joins can maintain a shared cutoff that goes
-  /// finite long before any single pair has seen k results — the piece
-  /// shared_cutoff_publish alone cannot provide when per-pair result
-  /// counts stay below k. Not owned; must outlive the join.
-  CutoffKeySink* shared_cutoff_sink = nullptr;
 
   /// Spatial restriction: only R objects intersecting r_window (and S
   /// objects intersecting s_window) participate. Unset = no restriction.
@@ -246,19 +170,6 @@ inline geom::DistVal InitialEdmaxEstimate(const JoinOptions& options,
     estimate = *options.edmax_seed;
   }
   return estimate;
-}
-
-/// Monotone minimum on a shared cutoff atomic (relaxed: the protocol
-/// tolerates stale reads, see shared_cutoff_key). Every writer of a
-/// shared cutoff must go through this — a plain store could raise a
-/// bound another thread already tightened.
-inline void AtomicMinKey(std::atomic<geom::KeyVal>* target,
-                         geom::KeyVal key) {
-  geom::KeyVal current = target->load(std::memory_order_relaxed);
-  while (key < current &&
-         !target->compare_exchange_weak(current, key,
-                                        std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace amdj::core

@@ -56,9 +56,8 @@ struct SweepArena {
   double dist_key[kSweepChunk];
 };
 
-/// The calling thread's arena. Each BatchExpander worker (and the
-/// coordinator) reuses its own across every task it runs, so steady-state
-/// sweeps allocate nothing.
+/// The calling thread's arena. Each join thread reuses its own across
+/// every sweep it runs, so steady-state sweeps allocate nothing.
 SweepArena* ThreadSweepArena();
 
 /// Bidirectional plane sweep over two child lists (the heart of Algorithm 1

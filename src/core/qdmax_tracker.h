@@ -1,9 +1,6 @@
 #ifndef AMDJ_CORE_QDMAX_TRACKER_H_
 #define AMDJ_CORE_QDMAX_TRACKER_H_
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/stats.h"
 #include "core/options.h"
 #include "core/pair_entry.h"
@@ -29,9 +26,6 @@ class QdmaxTracker {
   QdmaxTracker(uint64_t k, const JoinOptions& options, JoinStats* stats)
       : policy_(options.distance_queue_policy),
         metric_(options.metric),
-        external_(options.shared_cutoff_key),
-        publish_(options.shared_cutoff_publish),
-        sink_(options.shared_cutoff_sink),
         stats_(stats),
         objects_(static_cast<size_t>(k), stats),
         tracked_(static_cast<size_t>(k), stats) {}
@@ -40,7 +34,6 @@ class QdmaxTracker {
   /// object-pair distances are permanent either way).
   void OnPush(const PairEntry& e) {
     if (e.IsObjectPair()) {
-      if (sink_ != nullptr) sink_->OnResultKey(e.key);
       if (policy_ == DistanceQueuePolicy::kObjectPairsOnly) {
         objects_.Insert(e.key);
       } else {
@@ -62,22 +55,10 @@ class QdmaxTracker {
   }
 
   /// The current qDmax, as a metric key (same space as PairEntry::key).
-  /// With JoinOptions::shared_cutoff_key set, the externally maintained
-  /// bound is min'ed in (relaxed load: the bound only shrinks, so a stale
-  /// read is merely a looser — still sound — cutoff).
-  /// With shared_cutoff_publish set, the local bound is also CAS-min'ed
-  /// into the shared atomic first — see JoinOptions for why that is sound
-  /// at every instant.
   geom::KeyVal Cutoff() const {
-    const geom::KeyVal local =
-        policy_ == DistanceQueuePolicy::kObjectPairsOnly
-            ? objects_.CutoffKey()
-            : tracked_.CutoffKey();
-    if (publish_ != nullptr) AtomicMinKey(publish_, local);
-    return external_ == nullptr
-               ? local
-               : std::min(local,
-                          external_->load(std::memory_order_relaxed));
+    return policy_ == DistanceQueuePolicy::kObjectPairsOnly
+               ? objects_.CutoffKey()
+               : tracked_.CutoffKey();
   }
 
  private:
@@ -87,9 +68,6 @@ class QdmaxTracker {
 
   DistanceQueuePolicy policy_;
   geom::Metric metric_;
-  const std::atomic<geom::KeyVal>* external_;
-  std::atomic<geom::KeyVal>* publish_;
-  CutoffKeySink* sink_;
   JoinStats* stats_;
   queue::DistanceQueue objects_;
   queue::TrackedDistanceQueue tracked_;

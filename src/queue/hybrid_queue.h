@@ -97,11 +97,10 @@ namespace amdj::queue {
 /// Concurrency contract: thread-confined. The queue — in particular the
 /// split/swap-in path, which rewrites the bucket and segment structure
 /// together — is mutated exclusively by the coordinating (query) thread;
-/// the parallel executor's workers never touch it, and spill-I/O workers
-/// touch only the byte-buffer handshakes described above. Confinement is
-/// enforced: every mutating entry point checks the confinement owner
-/// (common/thread_checker.h) and aborts on a cross-thread call instead of
-/// corrupting the boundary structure.
+/// spill-I/O workers touch only the byte-buffer handshakes described
+/// above. Confinement is enforced: every mutating entry point checks the
+/// confinement owner (common/thread_checker.h) and aborts on a
+/// cross-thread call instead of corrupting the boundary structure.
 template <typename T, typename Compare>
 class HybridQueue {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -197,7 +196,9 @@ class HybridQueue {
   Status Push(const T& item) {
     AMDJ_CHECK(owner_.CalledOnValidThread())
         << "HybridQueue::Push off the coordinator thread";
-    if (item.key < HeapUpperBound()) {
+    // With no segment yet, HeapUpperBound() is +inf and a +inf key (an
+    // overflowed d²) has nowhere else to go: it stays in memory.
+    if (item.key < HeapUpperBound() || segments_.empty()) {
       PushMemory(item);
       CountInsertion();
       if (mem_count_ > capacity_) AMDJ_RETURN_IF_ERROR(Overflow());
@@ -248,9 +249,7 @@ class HybridQueue {
   /// `*out`, while `take(entry)` returns true, stopping after `max_n`
   /// entries or when the queue is empty. An entry rejected by `take` is
   /// left at the front of the queue (it is inspected, not removed), so the
-  /// caller can alternate batches of different kinds without re-pushing —
-  /// the parallel join executor uses this to drain ready object pairs and
-  /// then collect a round of node pairs.
+  /// caller can alternate batches of different kinds without re-pushing.
   template <typename Take>
   Status PopBatch(size_t max_n, Take&& take, std::vector<T>* out) {
     AMDJ_CHECK(owner_.CalledOnValidThread())

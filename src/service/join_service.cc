@@ -10,7 +10,6 @@
 #include "common/run_report.h"
 #include "common/timer.h"
 #include "core/dmax_estimator.h"
-#include "core/shard_executor.h"
 #include "service/shared_work.h"
 #include "storage/disk_manager.h"
 
@@ -130,23 +129,6 @@ JoinService::JoinService(const rtree::RTree& r, const rtree::RTree& s,
     io_pool_ = std::make_unique<ThreadPool>(options.spill_io_threads,
                                             options.name_prefix + "-io");
   }
-  if (options.shards > 1) {
-    options_.shard_threads = std::max<uint32_t>(1, options.shard_threads);
-    shard_disk_ = std::make_unique<storage::InMemoryDiskManager>();
-    shard_pool_ = std::make_unique<storage::BufferPool>(
-        shard_disk_.get(), std::max<size_t>(64, options.shard_pool_pages));
-    core::PartitionOptions part;
-    part.shards = options.shards;
-    auto build = [this, &part](const rtree::RTree& tree,
-                               std::optional<core::Partition>* out) {
-      auto part_or = core::Partition::FromTree(tree, shard_pool_.get(), part);
-      if (!part_or.ok()) return part_or.status();
-      *out = std::move(part_or).value();
-      return Status::OK();
-    };
-    shard_init_ = build(r_, &r_partition_);
-    if (shard_init_.ok()) shard_init_ = build(s_, &s_partition_);
-  }
 }
 
 JoinService::~JoinService() {
@@ -156,24 +138,11 @@ JoinService::~JoinService() {
   pool_.reset();
 }
 
-bool JoinService::Shardable(const JoinRequest& request) const {
-  return options_.shards > 1 && request.kind == JoinRequest::Kind::kKdj &&
-         (request.kdj_algorithm == core::KdjAlgorithm::kBKdj ||
-          request.kdj_algorithm == core::KdjAlgorithm::kAmKdj);
-}
-
 core::JoinOptions JoinService::EffectiveOptions(
     const JoinRequest& request) const {
   core::JoinOptions effective = request.options;
   effective.queue_memory_bytes =
       std::min(effective.queue_memory_bytes, per_query_queue_memory_);
-  if (Shardable(request)) {
-    // Up to shard_threads per-pair queues live at once within this one
-    // query; they share the query's admission budget.
-    effective.queue_memory_bytes =
-        std::max(kMinQueueMemoryBytes,
-                 effective.queue_memory_bytes / options_.shard_threads);
-  }
   // The session spill disk is per-execution; whatever the caller set is
   // replaced (a shared spill disk across concurrent queries would mix
   // their segments and outlive neither cleanly). Likewise the spill I/O
@@ -367,13 +336,10 @@ JoinResponse JoinService::Execute(const JoinRequest& request,
   // Learned eDmax seed: consult the observed-Dmax table before the
   // Eq. 3-5 estimator. Upper-bound hint only (JoinOptions::edmax_seed) —
   // it stages the adaptive algorithms tighter but cannot change results.
-  // Skipped for forced_edmax (figure benches force exact multiples),
-  // caller-provided seeds, and sharded runs (per-pair subsets have their
-  // own larger per-pair Dmax; the shard executor's pooled cutoff already
-  // shares bounds across pairs live).
+  // Skipped for forced_edmax (figure benches force exact multiples) and
+  // caller-provided seeds.
   if (options_.shared_cache_entries > 0 && keys.seed_key.has_value() &&
-      !options.forced_edmax.has_value() && !options.edmax_seed.has_value() &&
-      !Shardable(request)) {
+      !options.forced_edmax.has_value() && !options.edmax_seed.has_value()) {
     const core::DmaxEstimator fallback_estimator(
         r_.bounds(), r_.size(), s_.bounds(), s_.size(), options.metric);
     const core::CutoffEstimator* estimator =
@@ -427,26 +393,6 @@ void JoinService::ExecuteRequest(const JoinRequest& request,
                                  JoinResponse* out) {
   JoinResponse& response = *out;
   if (request.kind == JoinRequest::Kind::kKdj) {
-    if (Shardable(request)) {
-      if (!shard_init_.ok()) {
-        response.status = shard_init_;
-        return;
-      }
-      core::ShardedJoinOptions sharded;
-      // The per-pair queue-memory division already happened in
-      // EffectiveOptions (which is how callers reproduce the run).
-      sharded.join = options;
-      sharded.threads = options_.shard_threads;
-      sharded.algorithm = request.kdj_algorithm;
-      auto result = core::RunShardedKDistanceJoin(
-          *r_partition_, *s_partition_, request.k, sharded, &response.stats);
-      if (!result.ok()) {
-        response.status = result.status();
-        return;
-      }
-      response.results = std::move(*result);
-      return;
-    }
     auto result = core::RunKDistanceJoin(r_, s_, request.k,
                                          request.kdj_algorithm, options,
                                          &response.stats);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,10 +15,7 @@
 #include "core/distance_join.h"
 #include "core/options.h"
 #include "core/pair_entry.h"
-#include "core/partition.h"
 #include "rtree/rtree.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 
 namespace amdj::service {
 
@@ -107,22 +103,6 @@ class JoinService {
     /// queue's accounted tier, so a query's resident footprint can
     /// transiently double.
     uint32_t spill_io_threads = 0;
-    /// Shard count for partition-parallel KDJ execution. 1 (the default)
-    /// keeps the classic single-pair path. Values > 1 make the service
-    /// split both data sets into `shards` STR tiles at construction (one
-    /// bulk-loaded tree per tile, in a service-owned in-memory pool) and
-    /// route every kBKdj/kAmKdj KDJ request through
-    /// core::RunShardedKDistanceJoin. Other algorithms and IDJ cursors
-    /// fall back to the unsharded trees.
-    uint32_t shards = 1;
-    /// Worker threads per sharded execution (the shard-pair fan-out of one
-    /// query — independent of max_inflight, which fans out across
-    /// queries). Each admitted query's queue-memory clamp is further
-    /// divided by this, since up to shard_threads per-pair queues live
-    /// concurrently.
-    uint32_t shard_threads = 4;
-    /// Buffer-pool capacity (pages) for the service-owned shard trees.
-    size_t shard_pool_pages = 4096;
     /// Admission cap on requests queued but not yet started; 0 (the
     /// default) is unlimited. A Submit over the cap is rejected *without*
     /// blocking: its future is immediately ready with
@@ -138,8 +118,7 @@ class JoinService {
     /// getting its own response with a stats.shared_hit marker. Off by
     /// default — duplicates then execute independently, which admission
     /// tests and benches that measure raw execution rely on. Requests
-    /// carrying a tracer/report or external-cutoff plumbing are never
-    /// deduped regardless.
+    /// carrying a tracer or report are never deduped regardless.
     bool dedupe_inflight = false;
     /// Capacity (entries) of the semantic result cache: completed KDJ runs
     /// are recorded per (algorithm, options-key) and a later k' <= k is
@@ -188,10 +167,8 @@ class JoinService {
 
   /// The options a request will actually execute under: the request's own
   /// JoinOptions with queue_memory_bytes clamped to the per-query budget
-  /// (divided once more by shard_threads when the request will run
-  /// sharded — up to that many per-pair queues live concurrently within
-  /// the one query) and queue_disk cleared (the session spill disk is
-  /// attached at execution time). Exposed so callers can reproduce a
+  /// and queue_disk cleared (the session spill disk is attached at
+  /// execution time). Exposed so callers can reproduce a
   /// query's solo run exactly. The learned eDmax seed is NOT reflected
   /// here: it depends on runtime cache state, never changes results, and
   /// is only applied when shared_cache_entries > 0.
@@ -230,8 +207,6 @@ class JoinService {
   void ResolveFollowers(const JoinRequest& request,
                         const std::string& exec_key,
                         const JoinResponse& response) AMDJ_EXCLUDES(mutex_);
-  /// True when a KDJ request routes through the sharded executor.
-  bool Shardable(const JoinRequest& request) const;
   /// Runs the request under fully resolved options into `response`.
   void ExecuteRequest(const JoinRequest& request,
                       const core::JoinOptions& options,
@@ -265,17 +240,6 @@ class JoinService {
   /// pool_: query workers submit I/O tasks here, so it must outlive the
   /// query pool's drain.
   std::unique_ptr<ThreadPool> io_pool_;
-
-  /// Shard state (Options::shards > 1 only). The partitions are built once
-  /// at construction from the unsharded trees; a failure is remembered and
-  /// returned by every sharded request instead of aborting construction.
-  /// Declared before pool_: query workers read the partitions, so they
-  /// must outlive the pool's drain.
-  Status shard_init_;
-  std::unique_ptr<storage::InMemoryDiskManager> shard_disk_;
-  std::unique_ptr<storage::BufferPool> shard_pool_;
-  std::optional<core::Partition> r_partition_;
-  std::optional<core::Partition> s_partition_;
 
   /// Last member: destroyed (drained) first, while the counters above are
   /// still alive for the final tasks.

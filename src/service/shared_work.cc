@@ -71,13 +71,10 @@ std::string SemanticOptionsKey(const core::JoinOptions& o) {
   AppendU64(&key, static_cast<uint64_t>(o.correction));
   AppendU64(&key, o.predetermined_queue_boundaries ? 1 : 0);
   AppendU64(&key, o.exclude_same_id ? 1 : 0);
-  AppendU64(&key, o.kdj_adaptive_correction ? 1 : 0);
   AppendU64(&key, o.idj_initial_k);
   AppendOptDist(&key, o.forced_edmax);
   AppendOptDist(&key, o.edmax_seed);
   AppendU64(&key, reinterpret_cast<uintptr_t>(o.estimator));
-  AppendU64(&key, o.parallelism);
-  AppendU64(&key, o.batch_factor);
   AppendOptRect(&key, o.r_window);
   AppendOptRect(&key, o.s_window);
   return key;
@@ -102,13 +99,8 @@ SharedWorkKeys ComputeSharedWorkKeys(const JoinRequest& request) {
   SharedWorkKeys keys;
   const core::JoinOptions& o = request.options;
   // Observer-carrying requests execute solo: a tracer/report records ONE
-  // execution's events, and the external-cutoff plumbing wires this join
-  // into a coordinator the shared layer knows nothing about.
-  if (o.tracer != nullptr || o.report != nullptr ||
-      o.shared_cutoff_key != nullptr || o.shared_cutoff_publish != nullptr ||
-      o.shared_cutoff_sink != nullptr) {
-    return keys;
-  }
+  // execution's events.
+  if (o.tracer != nullptr || o.report != nullptr) return keys;
   const std::string options_key = SemanticOptionsKey(o);
   std::string exec;
   if (request.kind == JoinRequest::Kind::kKdj) {

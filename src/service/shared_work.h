@@ -51,10 +51,9 @@ struct SharedWorkKeys {
 };
 
 /// Canonicalizes a request into its shared-work keys. Requests that carry
-/// per-request observers (tracer, report) or external cutoff plumbing
-/// (shared_cutoff_key/publish/sink) are never shared — all three keys come
-/// back empty: an observer expects to see *its own* execution, and a
-/// piggybacked response would silently starve it.
+/// per-request observers (tracer, report) are never shared — all three
+/// keys come back empty: an observer expects to see *its own* execution,
+/// and a piggybacked response would silently starve it.
 SharedWorkKeys ComputeSharedWorkKeys(const JoinRequest& request);
 
 /// Cross-query shared-work state of one JoinService: the in-flight dedupe

@@ -135,8 +135,7 @@ StatusOr<PageGuard> BufferPool::FetchPage(PageId page_id) {
   // An active scope attributes this access to the calling thread's query;
   // otherwise the pool-wide sink applies. The per-query JoinStats is
   // incremented under the pool mutex, like the pool-wide one — threads of
-  // *different* queries write different JoinStats blocks, and threads of
-  // one query (the intra-query parallel executor) serialize on this lock.
+  // *different* queries write different JoinStats blocks.
   QueryAttribution* query = QueryAttributionScope::Current();
   const MutexLock lock(&mutex_);
   JoinStats* stats = query != nullptr ? query->stats : stats_;

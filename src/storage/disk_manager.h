@@ -147,7 +147,7 @@ class FileDiskManager : public DiskManager {
 
 /// Wraps another DiskManager and injects failures, for testing error paths.
 /// The countdowns are atomic, so the wrapper is as thread-safe as the
-/// wrapped manager — the parallel executor and the join service hammer it
+/// wrapped manager — the join service and the async spill I/O hammer it
 /// from many threads in the TSan tests.
 class FaultInjectionDiskManager : public DiskManager {
  public:

@@ -32,9 +32,7 @@ struct QueryAttribution {
 };
 
 /// RAII registration of the calling thread's query attribution. While a
-/// scope is alive, every BufferPool access performed by this thread (and
-/// by parallel-executor workers expanding on its behalf — BatchExpander
-/// re-installs the coordinator's attribution on each worker task) is
+/// scope is alive, every BufferPool access performed by this thread is
 /// counted against the scope's JoinStats instead of the pool-wide sink.
 ///
 /// Scopes nest (a join that internally runs an uncharged oracle pass can

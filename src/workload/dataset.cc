@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ std::vector<rtree::Entry> Dataset::ToEntries() const {
 
 namespace {
 constexpr char kMagic[8] = {'A', 'M', 'D', 'J', 'D', 'S', '0', '1'};
+
+bool IsFinite(const geom::Rect& r) {
+  return std::isfinite(r.lo.x) && std::isfinite(r.lo.y) &&
+         std::isfinite(r.hi.x) && std::isfinite(r.hi.y);
+}
 }  // namespace
 
 Status Dataset::SaveTo(const std::string& path) const {
@@ -67,6 +73,12 @@ StatusOr<Dataset> Dataset::LoadFrom(const std::string& path) {
   }
   std::fclose(f);
   if (!ok) return Status::Corruption("malformed dataset file " + path);
+  for (size_t i = 0; i < ds.objects.size(); ++i) {
+    if (!IsFinite(ds.objects[i])) {
+      return Status::Corruption("non-finite coordinate in object " +
+                                std::to_string(i) + " of " + path);
+    }
+  }
   return ds;
 }
 
@@ -86,17 +98,26 @@ StatusOr<Dataset> Dataset::FromCsv(const std::string& path) {
     double v[4];
     const int n = std::sscanf(p, "%lf , %lf , %lf , %lf", &v[0], &v[1],
                               &v[2], &v[3]);
+    const char* problem = nullptr;
+    if (n != 2 && n != 4) {
+      problem = "malformed CSV row";
+    } else if (!std::all_of(v, v + n,
+                            [](double x) { return std::isfinite(x); })) {
+      // %lf accepts nan/inf; no algorithm has a defined answer for them.
+      problem = "non-finite coordinate";
+    }
+    if (problem != nullptr) {
+      std::fclose(f);
+      return Status::InvalidArgument(std::string(problem) + " at line " +
+                                     std::to_string(lineno) + " of " +
+                                     path);
+    }
     if (n == 2) {
       ds.objects.push_back(geom::Rect::FromPoint(geom::Point(v[0], v[1])));
-    } else if (n == 4) {
+    } else {
       const geom::Rect r(std::min(v[0], v[2]), std::min(v[1], v[3]),
                          std::max(v[0], v[2]), std::max(v[1], v[3]));
       ds.objects.push_back(r);
-    } else {
-      std::fclose(f);
-      return Status::InvalidArgument("malformed CSV row at line " +
-                                     std::to_string(lineno) + " of " +
-                                     path);
     }
   }
   std::fclose(f);

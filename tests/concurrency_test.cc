@@ -8,11 +8,13 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/distance_join.h"
+#include "core/expansion.h"
 #include "core/semi_join.h"
 #include "rtree/knn.h"
 #include "test_util.h"
@@ -183,6 +185,66 @@ TEST(ConcurrencyTest, ParallelKnnAndCursors) {
             return;
           }
           prev = d;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// The buffer pool under concurrent node fetches: the service's queries
+// fetch children concurrently through one pool, so a pool much smaller
+// than the working set must evict under contention without handing out a
+// torn or recycled page.
+TEST(ParallelBufferPoolTest, ConcurrentFetchChildrenUnderEviction) {
+  workload::TigerSynthOptions wopts;
+  wopts.street_segments = 3000;
+  wopts.hydro_objects = 1000;
+  wopts.seed = 3;
+  test::JoinFixture f = test::MakeFixture(workload::TigerStreets(wopts),
+                                          workload::TigerHydro(wopts), 16,
+                                          /*buffer_pages=*/12);
+  // Reference child lists, collected single-threaded.
+  std::vector<core::PairRef> roots = {core::RootRef(*f.r),
+                                      core::RootRef(*f.s)};
+  std::vector<std::vector<core::PairRef>> levels[2];
+  for (int t = 0; t < 2; ++t) {
+    const rtree::RTree& tree = t == 0 ? *f.r : *f.s;
+    std::vector<core::PairRef> frontier = {roots[static_cast<size_t>(t)]};
+    while (!frontier.empty() && !frontier.front().IsObject()) {
+      levels[t].push_back(frontier);
+      std::vector<core::PairRef> next;
+      for (const core::PairRef& ref : frontier) {
+        std::vector<core::PairRef> children;
+        ASSERT_TRUE(core::ChildList(tree, ref, &children).ok());
+        next.insert(next.end(), children.begin(), children.end());
+      }
+      frontier = std::move(next);
+    }
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 8; ++w) {
+    threads.emplace_back([&f, &levels, &failures, w] {
+      const rtree::RTree& tree = w % 2 == 0 ? *f.r : *f.s;
+      const auto& my_levels = levels[w % 2];
+      std::vector<core::PairRef> children;
+      for (int round = 0; round < 30; ++round) {
+        for (const auto& level : my_levels) {
+          const core::PairRef& ref =
+              level[static_cast<size_t>(round * 31 + w) % level.size()];
+          if (!core::ChildList(tree, ref, &children).ok() || children.empty()) {
+            ++failures;
+            return;
+          }
+          // Children must be contained in the parent MBR.
+          for (const core::PairRef& child : children) {
+            if (!ref.rect.Contains(child.rect)) {
+              ++failures;
+              return;
+            }
+          }
         }
       }
     });

@@ -55,6 +55,9 @@ TEST(HybridQueueTest, SpillsAndRecoversInOrder) {
   storage::InMemoryDiskManager disk;
   JoinStats stats;
   Queue q(SmallMemory(&disk), &stats);
+  // A +inf key (an overflowed d²) on the fresh queue, before any segment
+  // exists, and again once the queue has spilled.
+  ASSERT_TRUE(q.Push({KeyVal::Infinity(), 5000}).ok());
   Random rng(7);
   std::vector<double> inserted;
   for (int i = 0; i < 5000; ++i) {
@@ -63,17 +66,23 @@ TEST(HybridQueueTest, SpillsAndRecoversInOrder) {
     ASSERT_TRUE(q.Push({KeyVal(d), static_cast<uint64_t>(i)}).ok());
   }
   EXPECT_GT(q.split_count(), 0u);  // memory was 64 entries: must spill
+  ASSERT_TRUE(q.Push({KeyVal::Infinity(), 5001}).ok());
   std::sort(inserted.begin(), inserted.end());
   Item it;
   for (size_t i = 0; i < inserted.size(); ++i) {
     ASSERT_TRUE(q.Pop(&it).ok());
     ASSERT_EQ(it.key.raw(), inserted[i]) << "at pop " << i;
   }
+  for (uint64_t tag : {5000u, 5001u}) {
+    ASSERT_TRUE(q.Pop(&it).ok());
+    EXPECT_EQ(it.key, KeyVal::Infinity());
+    EXPECT_EQ(it.tag, tag);
+  }
   EXPECT_TRUE(q.Empty());
   EXPECT_GT(q.swapin_count(), 0u);
   EXPECT_GT(stats.queue_page_writes, 0u);
   EXPECT_GT(stats.queue_page_reads, 0u);
-  EXPECT_EQ(stats.main_queue_insertions, 5000u);
+  EXPECT_EQ(stats.main_queue_insertions, 5002u);
 }
 
 TEST(HybridQueueTest, InterleavedPushPopMatchesReference) {

@@ -65,55 +65,13 @@ INSTANTIATE_TEST_SUITE_P(EstimateSweep, ForcedEdmaxTest,
                            return "factor_" + s.substr(0, 4);
                          });
 
-class AdaptiveCorrectionTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(AdaptiveCorrectionTest, RuntimeCorrectedAmKdjMatchesBKdj) {
-  // Section 4.3.2's runtime-corrected variant must stay exact for any
-  // initial estimate, like the two-stage default.
-  const geom::Rect uni(0, 0, 10000, 10000);
-  JoinFixture f =
-      MakeFixture(workload::GaussianClusters(300, 8, 0.03, 21, uni),
-                  workload::UniformRects(200, 50.0, 22, uni), 8);
-  const uint64_t k = 500;
-  JoinOptions options;
-  auto baseline = BKdj::Run(*f.r, *f.s, k, options, nullptr);
-  ASSERT_TRUE(baseline.ok());
-  const auto dmax = ComputeTrueDmax(*f.r, *f.s, k, options);
-  ASSERT_TRUE(dmax.ok());
-
-  options.kdj_adaptive_correction = true;
-  options.forced_edmax = geom::DistVal(GetParam() * *dmax);
-  for (const auto policy :
-       {CorrectionPolicy::kAggressive, CorrectionPolicy::kConservative}) {
-    options.correction = policy;
-    JoinStats stats;
-    auto am = AmKdj::Run(*f.r, *f.s, k, options, &stats);
-    ASSERT_TRUE(am.ok());
-    ASSERT_EQ(am->size(), baseline->size());
-    for (size_t i = 0; i < am->size(); ++i) {
-      ASSERT_NEAR((*am)[i].distance, (*baseline)[i].distance, 1e-9)
-          << "rank " << i << " factor " << GetParam() << " policy "
-          << static_cast<int>(policy);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(EstimateSweepAdaptive, AdaptiveCorrectionTest,
-                         ::testing::Values(0.05, 0.3, 1.0, 3.0),
-                         [](const auto& info) {
-                           std::string s = std::to_string(info.param);
-                           for (auto& ch : s) {
-                             if (ch == '.') ch = '_';
-                           }
-                           return "factor_" + s.substr(0, 4);
-                         });
-
 TEST(AdaptiveCorrectionTest, ExhaustsProductWhenKExceedsIt) {
   const geom::Rect uni(0, 0, 1000, 1000);
   JoinFixture f = MakeFixture(workload::UniformPoints(40, 61, uni),
                               workload::UniformPoints(30, 62, uni), 5);
+  // The two-stage AM-KDJ must recover every pruned pair through its
+  // compensation stage when k exceeds |R| x |S|.
   JoinOptions options;
-  options.kdj_adaptive_correction = true;
   options.forced_edmax = geom::DistVal(1.0);  // massive underestimate
   auto result = AmKdj::Run(*f.r, *f.s, 100000, options, nullptr);
   ASSERT_TRUE(result.ok());

@@ -352,8 +352,11 @@ TEST(JoinServiceTest, HugeKRequestReturnsCleanStatusInsteadOfThrowing) {
 }
 
 // EffectiveOptions is documented as "the options a request will actually
-// execute under" — for sharded KDJ requests that must include the
-// per-pair shard_threads division, not just the admission clamp.
+// execute under": the per-query admission clamp, whatever the request
+// kind or algorithm, never below the hybrid queue's floor — and a solo
+// service with the same per-query budget must reproduce a query exactly.
+// (The name dates from when sharded requests also divided the clamp across
+// shard threads; with shard routing gone only the admission clamp is left.)
 TEST(JoinServiceTest, EffectiveOptionsReflectsShardedClampAndReproduces) {
   const workload::Dataset r_data =
       workload::TigerStreets({.street_segments = 3000, .seed = 93});
@@ -364,46 +367,41 @@ TEST(JoinServiceTest, EffectiveOptionsReflectsShardedClampAndReproduces) {
   JoinService::Options options;
   options.max_inflight = 2;
   options.queue_memory_budget_bytes = 1024 * 1024;  // 512 KB per query
-  options.shards = 4;
-  options.shard_threads = 2;
   JoinService service(*f.r, *f.s, options);
 
-  JoinRequest sharded;
-  sharded.kdj_algorithm = core::KdjAlgorithm::kAmKdj;
-  sharded.k = 800;
-  sharded.options.queue_memory_bytes = 64 * 1024 * 1024;
-  // Clamped to the per-query budget, then divided across shard threads.
-  EXPECT_EQ(service.EffectiveOptions(sharded).queue_memory_bytes,
-            512u * 1024 / 2);
-
-  // Non-shardable requests see only the admission clamp.
-  JoinRequest hs = sharded;
+  JoinRequest am;
+  am.kdj_algorithm = core::KdjAlgorithm::kAmKdj;
+  am.k = 800;
+  am.options.queue_memory_bytes = 64 * 1024 * 1024;
+  // Clamped to the per-query budget, the same for every request kind.
+  EXPECT_EQ(service.EffectiveOptions(am).queue_memory_bytes, 512u * 1024);
+  JoinRequest hs = am;
   hs.kdj_algorithm = core::KdjAlgorithm::kHsKdj;
   EXPECT_EQ(service.EffectiveOptions(hs).queue_memory_bytes, 512u * 1024);
-  JoinRequest idj = sharded;
+  JoinRequest idj = am;
   idj.kind = JoinRequest::Kind::kIdj;
   EXPECT_EQ(service.EffectiveOptions(idj).queue_memory_bytes, 512u * 1024);
 
-  // The floor survives the division.
+  // The floor survives the per-slot split.
   JoinService::Options tiny = options;
   tiny.queue_memory_budget_bytes = 2 * JoinService::kMinQueueMemoryBytes;
   JoinService tiny_service(*f.r, *f.s, tiny);
-  EXPECT_EQ(tiny_service.EffectiveOptions(sharded).queue_memory_bytes,
+  EXPECT_EQ(tiny_service.EffectiveOptions(am).queue_memory_bytes,
             JoinService::kMinQueueMemoryBytes);
 
   // Solo reproduction: a 1-inflight service whose per-query budget equals
   // the concurrent service's must execute under the same effective
   // options and return byte-identical results.
-  const JoinResponse concurrent = service.Run(sharded);
+  const JoinResponse concurrent = service.Run(am);
   ASSERT_TRUE(concurrent.status.ok()) << concurrent.status.ToString();
   JoinService::Options solo_options = options;
   solo_options.max_inflight = 1;
   solo_options.queue_memory_budget_bytes =
       service.per_query_queue_memory_bytes();
   JoinService solo(*f.r, *f.s, solo_options);
-  EXPECT_EQ(solo.EffectiveOptions(sharded).queue_memory_bytes,
-            service.EffectiveOptions(sharded).queue_memory_bytes);
-  const JoinResponse reproduced = solo.Run(sharded);
+  EXPECT_EQ(solo.EffectiveOptions(am).queue_memory_bytes,
+            service.EffectiveOptions(am).queue_memory_bytes);
+  const JoinResponse reproduced = solo.Run(am);
   ASSERT_TRUE(reproduced.status.ok()) << reproduced.status.ToString();
   ASSERT_EQ(reproduced.results.size(), concurrent.results.size());
   for (size_t i = 0; i < reproduced.results.size(); ++i) {

@@ -107,11 +107,6 @@ TEST(SharedWorkKeysTest, ObserverRequestsAreNeverShared) {
   JoinRequest reported;
   reported.options.report = &report;
   EXPECT_FALSE(ComputeSharedWorkKeys(reported).exec_key.has_value());
-
-  std::atomic<geom::KeyVal> cutoff{geom::KeyVal::Zero()};
-  JoinRequest wired;
-  wired.options.shared_cutoff_publish = &cutoff;
-  EXPECT_FALSE(ComputeSharedWorkKeys(wired).exec_key.has_value());
 }
 
 TEST(SharedWorkKeysTest, SeedKeyIgnoresStagingKnobs) {

@@ -181,6 +181,19 @@ TEST(DatasetTest, LoadRejectsGarbage) {
   EXPECT_FALSE(Dataset::LoadFrom(path).ok());
   std::remove(path.c_str());
   EXPECT_FALSE(Dataset::LoadFrom("/nonexistent/nope.bin").ok());
+
+  // A well-formed file carrying a NaN or inf coordinate is corrupt too.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Dataset ds = UniformRects(5, 20.0, 5);
+    ds.objects[3].hi.y = bad;
+    ASSERT_TRUE(ds.SaveTo(path).ok());
+    auto loaded = Dataset::LoadFrom(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find("object 3"), std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST(DatasetTest, ToEntriesAssignsDenseIds) {
@@ -227,6 +240,24 @@ TEST(DatasetTest, FromCsvRejectsMalformedRowWithLineNumber) {
   EXPECT_NE(ds.status().message().find("line 2"), std::string::npos);
   std::remove(path.c_str());
   EXPECT_FALSE(Dataset::FromCsv("/nonexistent/x.csv").ok());
+
+  // %lf parses nan/inf (and overflows 1e400 to inf): all are rejected with
+  // the offending line, while a large finite value is accepted.
+  for (const char* row : {"nan,nan\n", "inf,0\n", "0,-inf\n", "1e400,0\n",
+                          "0,0,nan,1\n"}) {
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("1e200,0\n", f);
+    std::fputs(row, f);
+    std::fclose(f);
+    ds = Dataset::FromCsv(path);
+    ASSERT_FALSE(ds.ok()) << row;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument) << row;
+    EXPECT_NE(ds.status().message().find("non-finite coordinate at line 2"),
+              std::string::npos)
+        << ds.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST(DatasetTest, BoundsCoverEverything) {

@@ -6,7 +6,6 @@
 //   amdj_cli join     --r=FILE --s=FILE --k=K [--algo=hs|b|am|sj]
 //                     [--metric=l2|l1|linf] [--estimator=uniform|histogram]
 //                     [--self] [--limit=N] [--stats]
-//                     [--shards=N] [--shard-threads=N]
 //                     [--trace=FILE] [--trace-jsonl=FILE]
 //                     [--report-json=FILE] [--report]
 //   amdj_cli stream   --r=FILE --s=FILE [--batch=N] [--batches=N]
@@ -25,7 +24,6 @@
 //   amdj_cli estimate --r=FILE --s=FILE --k=K
 //   amdj_cli batch    --r=FILE --s=FILE --requests=FILE [--inflight=N]
 //                     [--budget-kb=KB] [--spill-io-threads=N]
-//                     [--shards=N] [--shard-threads=N]
 //                     [--dedupe] [--shared-cache=N]
 //                     [--metric=l2|l1|linf] [--self]
 //       replays a request file concurrently through the JoinService. Each
@@ -53,11 +51,15 @@
 //       result cache + learned eDmax seeding (both off by default; both
 //       also accepted by `batch`; see DESIGN.md "Shared-work layer").
 //
+// Every command rejects a flag it does not read (exit 2, "unknown flag
+// --X") before touching any dataset.
+//
 // Dataset files are produced by `generate` (workload::Dataset binary
 // format); files ending in .csv are parsed as x,y or x0,y0,x1,y1 rows
 // (see workload::Dataset::FromCsv). Trees are bulk-loaded in memory per
 // invocation.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -82,8 +84,6 @@
 #include "core/distance_join.h"
 #include "core/dmax_estimator.h"
 #include "core/histogram_estimator.h"
-#include "core/partition.h"
-#include "core/shard_executor.h"
 #include "core/semi_join.h"
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
@@ -173,8 +173,8 @@ LogLevel ParseLogLevel(const std::string& name) {
 
 /// Presence-keyed positive-integer flag (same discipline as --log-level):
 /// an absent flag returns `fallback`, but a present flag must parse fully
-/// as an integer >= 1 — `--shards=0`, `--shards=-3`, or trailing junk are
-/// usage errors, never a silent fall-back to the default.
+/// as an integer >= 1 — `--metrics-interval-ms=0`, `=-3`, or trailing
+/// junk are usage errors, never a silent fall-back to the default.
 uint32_t ParsePositiveFlag(const Args& args, const std::string& key,
                            uint32_t fallback) {
   if (!args.Has(key)) return fallback;
@@ -342,13 +342,7 @@ core::KdjAlgorithm ParseKdj(const std::string& name) {
 
 int CmdJoin(const Args& args) {
   // Flag validation fires before any dataset is touched.
-  const uint32_t shards = ParsePositiveFlag(args, "shards", 1);
-  const uint32_t shard_threads = ParsePositiveFlag(args, "shard-threads", 4);
   const core::KdjAlgorithm algorithm = ParseKdj(args.GetString("algo", "am"));
-  if (shards > 1 && algorithm != core::KdjAlgorithm::kBKdj &&
-      algorithm != core::KdjAlgorithm::kAmKdj) {
-    Args::Fail("--shards requires --algo=b or --algo=am");
-  }
   Session session(args.Require("r"), args.Require("s"));
   const uint64_t k = args.GetUint("k", 10);
   core::JoinOptions options;
@@ -366,27 +360,8 @@ int CmdJoin(const Args& args) {
   obs.Wire(&options);
 
   JoinStats stats;
-  StatusOr<std::vector<core::ResultPair>> result =
-      std::vector<core::ResultPair>{};
-  if (shards > 1) {
-    core::PartitionOptions part;
-    part.shards = shards;
-    auto r_part = core::Partition::Build(session.r_data.ToEntries(),
-                                         session.pool.get(), part);
-    CheckOk(r_part.status());
-    auto s_part = core::Partition::Build(session.s_data.ToEntries(),
-                                         session.pool.get(), part);
-    CheckOk(s_part.status());
-    core::ShardedJoinOptions sharded;
-    sharded.join = options;
-    sharded.threads = shard_threads;
-    sharded.algorithm = algorithm;
-    result = core::RunShardedKDistanceJoin(*r_part, *s_part, k, sharded,
-                                           &stats);
-  } else {
-    result = core::RunKDistanceJoin(*session.r, *session.s, k, algorithm,
-                                    options, &stats);
-  }
+  auto result = core::RunKDistanceJoin(*session.r, *session.s, k, algorithm,
+                                       options, &stats);
   CheckOk(result.status());
   obs.Emit();
 
@@ -517,8 +492,6 @@ service::JoinService::Options ServiceOptionsFromArgs(const Args& args) {
       static_cast<size_t>(args.GetUint("budget-kb", 4096)) * 1024;
   options.spill_io_threads =
       static_cast<uint32_t>(args.GetUint("spill-io-threads", 0));
-  options.shards = ParsePositiveFlag(args, "shards", 1);
-  options.shard_threads = ParsePositiveFlag(args, "shard-threads", 4);
   options.max_queued = static_cast<uint32_t>(args.GetUint("max-queued", 0));
   options.slow_query_seconds =
       static_cast<double>(args.GetUint("slow-query-ms", 0)) / 1000.0;
@@ -646,14 +619,6 @@ class MetricsExporter {
 int CmdServe(const Args& args) {
   // All metrics-flag validation fires before any dataset I/O, so a typo'd
   // invocation fails instantly instead of after minutes of loading.
-  for (const auto& [key, value] : args.values()) {
-    if (key.rfind("metrics", 0) == 0 && key != "metrics-json" &&
-        key != "metrics-interval-ms") {
-      Args::Fail("unknown flag --" + key +
-                 " (metrics flags: --metrics-json=FILE "
-                 "--metrics-interval-ms=MS)");
-    }
-  }
   const uint64_t metrics_interval_ms =
       ParsePositiveFlag(args, "metrics-interval-ms", 1000);
   if (args.Has("metrics-interval-ms") && !args.Has("metrics-json")) {
@@ -728,6 +693,22 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
+/// One subcommand: its entry point and every flag it reads (--log-level
+/// is accepted everywhere). Main rejects any other flag before the
+/// command runs, so a typo or another command's flag is a usage error
+/// instead of a silently ignored knob.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+std::vector<std::string> Concat(std::vector<std::string> a,
+                                const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
@@ -737,7 +718,7 @@ int Main(int argc, char** argv) {
                  "tools/amdj_cli.cc)\n");
     return 2;
   }
-  const std::string command = argv[1];
+  const std::string name = argv[1];
   const Args args(argc, argv);
   // Keyed on flag presence, not value emptiness: `--log-level=` (or any
   // unknown level) is a usage error, never a silent fall-back to the
@@ -745,16 +726,48 @@ int Main(int argc, char** argv) {
   if (args.Has("log-level")) {
     SetLogLevel(ParseLogLevel(args.GetString("log-level")));
   }
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "info") return CmdInfo(args);
-  if (command == "join") return CmdJoin(args);
-  if (command == "stream") return CmdStream(args);
-  if (command == "batch") return CmdBatch(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "semijoin") return CmdSemiJoin(args);
-  if (command == "knn") return CmdKnn(args);
-  if (command == "estimate") return CmdEstimate(args);
-  Args::Fail("unknown command " + command);
+  const std::vector<std::string> observability = {"trace", "trace-jsonl",
+                                                  "report-json", "report"};
+  const std::vector<std::string> service = {
+      "r", "s", "requests", "metric", "self", "inflight", "budget-kb",
+      "spill-io-threads", "max-queued", "slow-query-ms", "dedupe",
+      "shared-cache"};
+  const Command commands[] = {
+      {"generate", CmdGenerate,
+       {"kind", "out", "n", "seed", "universe", "side", "clusters", "sigma",
+        "theta"}},
+      {"info", CmdInfo, {"data"}},
+      {"join", CmdJoin,
+       Concat({"r", "s", "k", "algo", "metric", "self", "estimator", "limit",
+               "stats"},
+              observability)},
+      {"stream", CmdStream,
+       Concat({"r", "s", "batch", "batches", "algo", "metric", "self"},
+              observability)},
+      {"batch", CmdBatch, service},
+      {"serve", CmdServe,
+       Concat(service, {"metrics-json", "metrics-interval-ms"})},
+      {"semijoin", CmdSemiJoin,
+       {"r", "s", "strategy", "metric", "self", "limit"}},
+      {"knn", CmdKnn, {"data", "x", "y", "k", "metric"}},
+      {"estimate", CmdEstimate, {"r", "s", "k"}},
+  };
+  for (const Command& command : commands) {
+    if (name != command.name) continue;
+    for (const auto& [key, value] : args.values()) {
+      if (key == "log-level" ||
+          std::find(command.flags.begin(), command.flags.end(), key) !=
+              command.flags.end()) {
+        continue;
+      }
+      std::string accepted;
+      for (const std::string& flag : command.flags) accepted += " --" + flag;
+      Args::Fail("unknown flag --" + key + " (" + name + " accepts" +
+                 accepted + " --log-level)");
+    }
+    return command.run(args);
+  }
+  Args::Fail("unknown command " + name);
 }
 
 }  // namespace
