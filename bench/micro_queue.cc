@@ -1,5 +1,6 @@
-// Microbenchmarks for the queue substrate: distance-queue inserts, hybrid
-// main-queue push/pop in memory and with disk spilling.
+// Microbenchmarks for the queue substrate: distance-queue inserts, the
+// main queue's per-query construction, hybrid main-queue push/pop in memory
+// and with disk spilling.
 //
 // The hybrid-queue benches report per-op push/pop latency and the queue's
 // structural counters (splits, swap-ins, refinements, prefetch hits/waits)
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -69,17 +71,36 @@ struct QueueBenchStats {
   }
 };
 
+/// The join's regime: once k keys are held, every key offered lies below
+/// the running cutoff (the kernels only emit pairs inside it), so every
+/// insert replaces the maximum. A stream of mostly rejected keys would time
+/// only the comparison against the cutoff.
 void BM_DistanceQueueInsert(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   Random rng(1);
-  std::vector<double> values(1 << 16);
-  for (auto& v : values) v = rng.NextDouble();
+  std::vector<double> fractions(1 << 16);
+  for (auto& f : fractions) f = rng.NextDouble();
+  const size_t mask = fractions.size() - 1;
   size_t i = 0;
-  queue::DistanceQueue q(k);
+  auto filled = [&] {
+    auto q = std::make_unique<queue::DistanceQueue>(k);
+    for (size_t j = 0; j < k; ++j) {
+      q->Insert(geom::KeyVal(fractions[i++ & mask]));
+    }
+    return q;
+  };
+  std::unique_ptr<queue::DistanceQueue> q = filled();
   for (auto _ : state) {
-    q.Insert(geom::KeyVal(values[i++ & (values.size() - 1)]));
-    benchmark::DoNotOptimize(q.CutoffKey());
+    if (q->CutoffKey() < geom::KeyVal(1e-200)) {
+      // Each insert shrinks the cutoff; start over before it underflows.
+      state.PauseTiming();
+      q = filled();
+      state.ResumeTiming();
+    }
+    q->Insert(geom::KeyVal(q->CutoffKey().raw() * fractions[i++ & mask]));
+    benchmark::DoNotOptimize(q->CutoffKey());
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DistanceQueueInsert)->Arg(10)->Arg(1000)->Arg(100000);
 
@@ -88,6 +109,24 @@ core::PairEntry MakeEntry(double key) {
   e.key = geom::KeyVal(key);
   return e;
 }
+
+/// Per-query fixed cost of the main queue: every KDJ request builds one
+/// with the default 1,024 predetermined boundaries, pushes its root pair
+/// and destroys it.
+void BM_MainQueueConstruct(benchmark::State& state) {
+  storage::InMemoryDiskManager disk;
+  core::MainQueue::Options options;
+  options.disk = &disk;
+  options.boundary_fn = [](uint64_t c) {
+    return geom::KeyVal(static_cast<double>(c));
+  };
+  for (auto _ : state) {
+    core::MainQueue q(options, nullptr);
+    benchmark::DoNotOptimize(q.Push(MakeEntry(0.0)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MainQueueConstruct);
 
 void BM_HybridQueueInMemory(benchmark::State& state) {
   Random rng(2);

@@ -76,11 +76,15 @@ namespace amdj::queue {
 /// construction as boundary_fn(i * n) for memory capacity n, which routes
 /// distant insertions straight to the right pile and minimizes split/swap
 /// operations. Without it the queue degrades to adaptive refinement
-/// splits.
+/// splits. The disk tier is one flat, bound-ordered table of slots, each a
+/// key range's lower bound plus its SegmentFile; a slot's file is created
+/// on the range's first append, so a predetermined range that never
+/// receives an entry costs 16 bytes and no allocation, and routing
+/// binary-searches the bounds without touching any file.
 ///
-/// Correctness invariant: every entry in a disk segment has key >= the
-/// segment's lower_bound, and memory only accepts entries below the front
-/// segment's lower_bound — hence the global minimum is always in memory
+/// Correctness invariant: every entry in a disk segment has key >= its
+/// slot's lower_bound, and memory only accepts entries below the front
+/// slot's lower_bound — hence the global minimum is always in memory
 /// (after swap-in when memory runs dry). Within memory, bucket boundaries
 /// are key values, so every bucket-0 entry is strictly closer than every
 /// other bucket's; a pop therefore compares only the heads of bucket-0's
@@ -125,7 +129,8 @@ class HybridQueue {
     /// Each covers ~one memory capacity of entries under an accurate
     /// Eq.-3 estimate; entries beyond the last boundary pile into the
     /// final segment, so this should comfortably exceed (expected
-    /// insertions / memory capacity). Empty segments cost almost nothing.
+    /// insertions / memory capacity). A segment that never receives an
+    /// entry costs one table slot and no file.
     size_t predetermined_segments = 1024;
     /// In-memory buckets the memory key range is subdivided into when
     /// boundary_fn is set (each covers ~capacity/memory_buckets entries).
@@ -157,12 +162,12 @@ class HybridQueue {
     }
     capacity_ = std::max<size_t>(16, options_.memory_bytes / sizeof(T));
     if (options_.boundary_fn) {
+      segments_.reserve(options_.predetermined_segments);
       geom::KeyVal prev = geom::KeyVal::Zero();
       for (size_t j = 1; j <= options_.predetermined_segments; ++j) {
         const geom::KeyVal b = options_.boundary_fn(j * capacity_);
         if (!(b > prev)) continue;  // boundaries must strictly increase
-        auto seg = MakeSegment(b);
-        segments_.push_back(std::move(seg));
+        segments_.push_back(Slot{b, nullptr});
         prev = b;
       }
       // Subdivide the memory range [0, first segment bound) the same way.
@@ -204,7 +209,9 @@ class HybridQueue {
       if (mem_count_ > capacity_) AMDJ_RETURN_IF_ERROR(Overflow());
       return Status::OK();
     }
-    SegmentFile* seg = RouteToSegment(item.key);
+    Slot& slot = RouteToSegment(item.key);
+    if (slot.file == nullptr) slot.file = MakeSegment();
+    SegmentFile* seg = slot.file.get();
     const uint64_t before = seg->count();
     const Status appended = seg->Append(&item);
     // A record staged before a failed page flush is inside seg->count()
@@ -273,7 +280,8 @@ class HybridQueue {
   uint64_t swapin_count() const { return swapins_; }
   /// Memory capacity in entries (n in the paper's boundary formula).
   size_t heap_capacity() const { return capacity_; }
-  /// Current number of disk segments (including empty predetermined ones).
+  /// Current number of disk key ranges (including predetermined ones that
+  /// never received an entry and so have no segment file).
   size_t segment_count() const { return segments_.size(); }
   /// Current number of entries in the in-memory tier.
   size_t heap_size() const { return mem_count_; }
@@ -315,6 +323,13 @@ class HybridQueue {
     const T* item;
   };
 
+  /// One key range of the disk tier: its inclusive lower bound and its
+  /// pile, created on the range's first append (null = empty range).
+  struct Slot {
+    geom::KeyVal lower_bound;
+    std::unique_ptr<SegmentFile> file;
+  };
+
   /// Result buffer of an in-flight next-segment read. The coordinator owns
   /// it; the pool worker fills `data` and flips `done` under `mu` — the
   /// entire cross-thread surface.
@@ -342,12 +357,9 @@ class HybridQueue {
   /// stuck refinements).
   static constexpr size_t kMaxExemptBlocks = 32;
 
-  std::unique_ptr<SegmentFile> MakeSegment(geom::KeyVal lower_bound) {
-    auto seg = std::make_unique<SegmentFile>(options_.disk, sizeof(T),
-                                             stats_, options_.io_pool,
-                                             options_.tracer);
-    seg->lower_bound = lower_bound;
-    return seg;
+  std::unique_ptr<SegmentFile> MakeSegment() const {
+    return std::make_unique<SegmentFile>(options_.disk, sizeof(T), stats_,
+                                         options_.io_pool, options_.tracer);
   }
 
   /// Records one successful insertion (call after the entry is in). The
@@ -366,25 +378,26 @@ class HybridQueue {
     }
   }
 
+  /// The front slot's bound, whether or not its range holds entries.
   geom::KeyVal HeapUpperBound() const {
     return segments_.empty() ? geom::KeyVal::Infinity()
-                             : segments_.front()->lower_bound;
+                             : segments_.front().lower_bound;
   }
 
-  /// Last segment with lower_bound <= key. Only called when
+  /// Last slot with lower_bound <= key. Only called when
   /// key >= HeapUpperBound(), so a match always exists.
-  SegmentFile* RouteToSegment(geom::KeyVal key) {
+  Slot& RouteToSegment(geom::KeyVal key) {
     size_t lo = 0;
     size_t hi = segments_.size();  // invariant: segments_[lo].lb <= key
     while (lo + 1 < hi) {
       const size_t mid = (lo + hi) / 2;
-      if (segments_[mid]->lower_bound <= key) {
+      if (segments_[mid].lower_bound <= key) {
         lo = mid;
       } else {
         hi = mid;
       }
     }
-    return segments_[lo].get();
+    return segments_[lo];
   }
 
   /// Last bucket with lower_bound <= key (bucket 0 catches everything
@@ -570,7 +583,7 @@ class HybridQueue {
         Bucket bucket = std::move(buckets_.back());
         buckets_.pop_back();
         if (bucket.entries.empty()) continue;  // never-used range: no pile
-        auto seg = MakeSegment(bucket.lower_bound);
+        auto seg = MakeSegment();
         const Status spilled = seg->AppendMany(
             bucket.entries.data(), bucket.entries.size());
         if (!spilled.ok()) {
@@ -582,7 +595,8 @@ class HybridQueue {
         }
         mem_count_ -= bucket.entries.size();
         spilled_entries += bucket.entries.size();
-        segments_.insert(segments_.begin(), std::move(seg));
+        segments_.insert(segments_.begin(),
+                         Slot{bucket.lower_bound, std::move(seg)});
         spilled_any = true;
       }
       if (spilled_any) {
@@ -594,7 +608,7 @@ class HybridQueue {
                             {"spilled",
                              static_cast<double>(spilled_entries)},
                             {"boundary_key",
-                             segments_.front()->lower_bound.raw()}}));
+                             segments_.front().lower_bound.raw()}}));
         AMDJ_TRACE(options_.tracer,
                    Counter("queue_buckets",
                            static_cast<double>(buckets_.size())));
@@ -696,7 +710,9 @@ class HybridQueue {
       return Status::OK();
     }
 
-    auto seg = MakeSegment(items[cut].key);
+    // The new slot's bound, read before `items` is cut and moved away.
+    const geom::KeyVal bound = items[cut].key;
+    auto seg = MakeSegment();
     const Status spilled =
         seg->AppendMany(items.data() + cut, items.size() - cut);
     if (!spilled.ok()) {
@@ -713,12 +729,12 @@ class HybridQueue {
                        {{"kept", static_cast<double>(cut)},
                         {"spilled",
                          static_cast<double>(items.size() - cut)},
-                        {"boundary_key", items[cut].key.raw()}}));
+                        {"boundary_key", bound.raw()}}));
     mem_count_ -= items.size() - cut;
     items.resize(cut);
     drain_ = std::move(items);
     drain_pos_ = 0;
-    segments_.insert(segments_.begin(), std::move(seg));
+    segments_.insert(segments_.begin(), Slot{bound, std::move(seg)});
     // The cut may have been pushed past capacity by an exempt plateau or
     // a wide boundary plateau; back off in that case too, or the next
     // push re-gathers immediately.
@@ -753,16 +769,17 @@ class HybridQueue {
   /// prefetch buffer when one targeted it); if it exceeds the memory
   /// capacity, re-spill its farther part in page-sized batches.
   Status SwapIn() {
-    std::unique_ptr<SegmentFile> seg = std::move(segments_.front());
+    Slot slot = std::move(segments_.front());
     segments_.erase(segments_.begin());
-    if (seg->count() == 0) return Status::OK();  // empty predetermined range
+    SegmentFile* seg = slot.file.get();
+    if (seg == nullptr || seg->count() == 0) return Status::OK();  // empty
     std::vector<T> items(static_cast<size_t>(seg->count()));
-    const Status loaded = LoadSegment(seg.get(), &items);
+    const Status loaded = LoadSegment(seg, &items);
     if (!loaded.ok()) {
       // Put the segment back: its records are intact (pages + write
       // buffer), so a healed disk can retry the swap-in — and TotalSize()
       // keeps matching the per-segment counts.
-      segments_.insert(segments_.begin(), std::move(seg));
+      segments_.insert(segments_.begin(), std::move(slot));
       return loaded;
     }
     ++swapins_;
@@ -770,16 +787,18 @@ class HybridQueue {
     AMDJ_TRACE(options_.tracer,
                Instant("queue_swapin",
                        {{"loaded", static_cast<double>(seg->count())},
-                        {"lower_bound_key", seg->lower_bound.raw()}}));
+                        {"lower_bound_key", slot.lower_bound.raw()}}));
     seg->Drop();
-    seg.reset();
+    slot.file.reset();
     bool sorted = false;
     if (items.size() > capacity_) {
       std::sort(items.begin(), items.end(), cmp_);
       sorted = true;
       const size_t keep = TieSafeCut(items, capacity_);
       if (keep < items.size()) {
-        auto respill = MakeSegment(items[keep].key);
+        // The re-spill slot's bound, read before `items` is cut.
+        const geom::KeyVal bound = items[keep].key;
+        auto respill = MakeSegment();
         const Status spilled = respill->AppendMany(
             items.data() + keep, items.size() - keep);
         if (!spilled.ok()) {
@@ -789,7 +808,7 @@ class HybridQueue {
           return spilled;
         }
         items.resize(keep);
-        segments_.insert(segments_.begin(), std::move(respill));
+        segments_.insert(segments_.begin(), Slot{bound, std::move(respill)});
       }
     }
     InstallFront(std::move(items), sorted);
@@ -873,14 +892,15 @@ class HybridQueue {
   /// until that segment's own swap-in.
   void StartPrefetch() {
     if (options_.io_pool == nullptr || prefetch_ != nullptr) return;
-    SegmentFile* seg = nullptr;
-    for (const auto& s : segments_) {
-      if (s->count() > 0) {
-        seg = s.get();
+    const Slot* next = nullptr;
+    for (const Slot& s : segments_) {
+      if (s.file != nullptr && s.file->count() > 0) {
+        next = &s;
         break;
       }
     }
-    if (seg == nullptr || seg->pages().empty()) return;
+    if (next == nullptr || next->file->pages().empty()) return;
+    SegmentFile* seg = next->file.get();
 
     auto pf = std::make_unique<Prefetch>();
     pf->seg = seg;
@@ -894,7 +914,7 @@ class HybridQueue {
     AMDJ_TRACE(options_.tracer,
                Instant("queue_prefetch_submit",
                        {{"pages", static_cast<double>(pf->snap_pages)},
-                        {"lower_bound_key", seg->lower_bound.raw()}}));
+                        {"lower_bound_key", next->lower_bound.raw()}}));
     Prefetch* p = pf.get();
     storage::DiskManager* disk = options_.disk;
     Tracer* tracer = options_.tracer;
@@ -958,7 +978,7 @@ class HybridQueue {
   std::vector<T> open_run_;
   geom::KeyVal open_run_key_ = geom::KeyVal::Zero();
 
-  std::vector<std::unique_ptr<SegmentFile>> segments_;  // by lower_bound asc
+  std::vector<Slot> segments_;  // by lower_bound ascending
   std::unique_ptr<Prefetch> prefetch_;
 
   uint64_t mem_count_ = 0;    ///< Entries in the memory tier.

@@ -18,8 +18,6 @@ SegmentFile::SegmentFile(storage::DiskManager* disk, size_t record_size,
       io_pool_(io_pool),
       tracer_(tracer) {
   AMDJ_CHECK(record_size_ >= 1 && record_size_ <= storage::kPageSize);
-  // The write buffer grows on first Append; empty segments (predetermined
-  // hybrid-queue ranges that never receive an entry) stay tiny.
 }
 
 SegmentFile::~SegmentFile() {
@@ -33,20 +31,20 @@ SegmentFile::~SegmentFile() {
 }
 
 SegmentFile::SegmentFile(SegmentFile&& other) noexcept
-    : lower_bound(other.lower_bound),
-      disk_(other.disk_),
+    : disk_(other.disk_),
       record_size_(other.record_size_),
       stats_(other.stats_),
       io_pool_(other.io_pool_),
       tracer_(other.tracer_),
       count_(other.count_),
+      staged_(other.staged_),
       submitted_seq_(other.submitted_seq_) {
   // Inflight workers hold a pointer to `other`'s handshake state, which a
   // move cannot transplant (the mutex is pinned) — quiesce first, then the
   // byte-level state moves freely and only the sticky error needs carrying.
   const Status drained = other.WaitAllWrites();
   pages_ = std::move(other.pages_);
-  write_buffer_ = std::move(other.write_buffer_);
+  page_ = std::move(other.page_);
   {
     const MutexLock lock(&io_mu_);
     async_error_ = drained;
@@ -54,6 +52,7 @@ SegmentFile::SegmentFile(SegmentFile&& other) noexcept
   other.disk_ = nullptr;
   other.pages_.clear();
   other.count_ = 0;
+  other.staged_ = 0;
 }
 
 SegmentFile& SegmentFile::operator=(SegmentFile&& other) noexcept {
@@ -63,16 +62,16 @@ SegmentFile& SegmentFile::operator=(SegmentFile&& other) noexcept {
       (void)WaitAllWrites();
       for (storage::PageId id : pages_) disk_->FreePage(id);
     }
-    lower_bound = other.lower_bound;
     disk_ = other.disk_;
     record_size_ = other.record_size_;
     stats_ = other.stats_;
     io_pool_ = other.io_pool_;
     tracer_ = other.tracer_;
     count_ = other.count_;
+    staged_ = other.staged_;
     submitted_seq_ = other.submitted_seq_;
     pages_ = std::move(other.pages_);
-    write_buffer_ = std::move(other.write_buffer_);
+    page_ = std::move(other.page_);
     {
       const MutexLock lock(&io_mu_);
       async_error_ = drained;
@@ -80,22 +79,20 @@ SegmentFile& SegmentFile::operator=(SegmentFile&& other) noexcept {
     other.disk_ = nullptr;
     other.pages_.clear();
     other.count_ = 0;
+    other.staged_ = 0;
   }
   return *this;
 }
 
 Status SegmentFile::Append(const void* record) {
-  if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-    // A previous FlushBuffer failed and left a full buffer behind; retry
-    // it before accepting more data, or the buffer would outgrow the
-    // one-page flush staging area.
+  if (staged_ + record_size_ > storage::kPageSize) {
+    // A previous FlushBuffer failed and left a full page behind; retry it
+    // before accepting more data.
     AMDJ_RETURN_IF_ERROR(FlushBuffer());
   }
-  const char* bytes = static_cast<const char*>(record);
-  write_buffer_.insert(write_buffer_.end(), bytes, bytes + record_size_);
-  ++count_;
-  if (write_buffer_.size() + record_size_ > storage::kPageSize) {
-    // Buffer cannot take another record: flush it as a full page.
+  Stage(static_cast<const char*>(record), 1);
+  if (staged_ + record_size_ > storage::kPageSize) {
+    // The page cannot take another record: write it out.
     AMDJ_RETURN_IF_ERROR(FlushBuffer());
   }
   return Status::OK();
@@ -103,62 +100,57 @@ Status SegmentFile::Append(const void* record) {
 
 Status SegmentFile::AppendMany(const void* records, size_t n) {
   const char* src = static_cast<const char*>(records);
-  const size_t per_page = RecordsPerPage();
   while (n > 0) {
-    if (write_buffer_.size() + record_size_ > storage::kPageSize) {
+    if (staged_ + record_size_ > storage::kPageSize) {
       // Retry a flush a previous failed call left behind (same protocol
       // as Append).
       AMDJ_RETURN_IF_ERROR(FlushBuffer());
     }
-    if (write_buffer_.empty() && n >= per_page) {
-      // Full page straight from the caller's array — no staging copy.
-      std::vector<char> page(storage::kPageSize, 0);
-      std::memcpy(page.data(), src, per_page * record_size_);
-      AMDJ_RETURN_IF_ERROR(WritePageOut(std::move(page)));
-      count_ += per_page;
-      src += per_page * record_size_;
-      n -= per_page;
-      continue;
-    }
-    // Partial page (head that tops off a non-empty buffer, or the tail):
-    // stage as many records as fit.
-    const size_t room =
-        (storage::kPageSize - write_buffer_.size()) / record_size_;
-    const size_t take = std::min(room, n);
-    write_buffer_.insert(write_buffer_.end(), src,
-                         src + take * record_size_);
-    count_ += take;
+    const size_t take =
+        std::min((storage::kPageSize - staged_) / record_size_, n);
+    Stage(src, take);
     src += take * record_size_;
     n -= take;
-    if (write_buffer_.size() + record_size_ > storage::kPageSize) {
+    if (staged_ + record_size_ > storage::kPageSize) {
       AMDJ_RETURN_IF_ERROR(FlushBuffer());
     }
   }
   return Status::OK();
 }
 
-Status SegmentFile::FlushBuffer() {
-  std::vector<char> page(storage::kPageSize, 0);
-  std::memcpy(page.data(), write_buffer_.data(), write_buffer_.size());
-  AMDJ_RETURN_IF_ERROR(WritePageOut(std::move(page)));
-  write_buffer_.clear();
-  return Status::OK();
+void SegmentFile::Stage(const char* records, size_t n) {
+  const size_t staged = staged_ + n * record_size_;
+  if (staged > page_.size()) {
+    // Grow geometrically, so a segment holding a few records stays small
+    // (a query may touch hundreds of predetermined ranges), and to the
+    // whole page once past half of it: a full page is always more than
+    // half a page, so it has kPageSize bytes to write, its tail zero.
+    const size_t size = staged > storage::kPageSize / 2
+                            ? storage::kPageSize
+                            : std::max(staged, 2 * page_.size());
+    page_.reserve(size);  // exactly: resize alone may round capacity up
+    page_.resize(size);
+  }
+  std::memcpy(page_.data() + staged_, records, n * record_size_);
+  staged_ = staged;
+  count_ += n;
 }
 
-Status SegmentFile::WritePageOut(std::vector<char> page) {
+Status SegmentFile::FlushBuffer() {
   if (io_pool_ == nullptr) {
     const storage::PageId id = disk_->AllocatePage();
-    const Status written = disk_->WritePage(id, page.data());
+    const Status written = disk_->WritePage(id, page_.data());
     if (!written.ok()) {
       // The page is neither recorded in pages_ nor reachable any other
       // way: return it to the allocator or it leaks for the disk's
-      // lifetime. The caller keeps the staged records (count_ already
-      // covers them), so a healed disk can retry the flush.
+      // lifetime. The staged records stay (count_ already covers them),
+      // so a healed disk can retry the flush.
       disk_->FreePage(id);
       return written;
     }
     if (stats_ != nullptr) ++stats_->queue_page_writes;
     pages_.push_back(id);
+    staged_ = 0;
     return Status::OK();
   }
 
@@ -186,13 +178,14 @@ Status SegmentFile::WritePageOut(std::vector<char> page) {
     pending_seqs_.push_back(seq);
   }
   pages_.push_back(id);
-  // The task owns the page bytes; it touches only the thread-safe disk
-  // manager, the thread-safe tracer, and the io_mu_ handshake — never the
-  // coordinator-confined structure (pages_/count_/write_buffer_/stats_).
+  // The task owns a copy of the page bytes; it touches only the
+  // thread-safe disk manager, the thread-safe tracer, and the io_mu_
+  // handshake — never the coordinator-confined structure
+  // (pages_/count_/page_/stats_).
   storage::DiskManager* disk = disk_;
   Tracer* tracer = tracer_;
   io_pool_->Submit(
-      [this, disk, tracer, id, seq, data = std::move(page)]() mutable {
+      [this, disk, tracer, id, seq, data = page_]() mutable {
         Status written;
         {
           const TraceSpan span(tracer, "spill_write_io",
@@ -210,6 +203,7 @@ Status SegmentFile::WritePageOut(std::vector<char> page) {
         }
         io_cv_.NotifyAll();
       });
+  staged_ = 0;
   return Status::OK();
 }
 
@@ -292,8 +286,12 @@ Status SegmentFile::ReadTailInto(size_t skip_pages, char* out) {
                                     out, &pages_read);
   if (stats_ != nullptr) stats_->queue_page_reads += pages_read;
   AMDJ_RETURN_IF_ERROR(read);
-  std::memcpy(out + (on_disk - skipped) * record_size_,
-              write_buffer_.data(), write_buffer_.size());
+  // Skip the copy when nothing is staged: the staging buffer may not exist
+  // yet, and memcpy must not see its null data() even for zero bytes.
+  if (staged_ > 0) {
+    std::memcpy(out + (on_disk - skipped) * record_size_, page_.data(),
+                staged_);
+  }
   return Status::OK();
 }
 
@@ -306,7 +304,7 @@ void SegmentFile::Drop() {
   (void)WaitAllWrites();
   for (storage::PageId id : pages_) disk_->FreePage(id);
   pages_.clear();
-  write_buffer_.clear();
+  staged_ = 0;
   count_ = 0;
   const MutexLock lock(&io_mu_);
   async_error_ = Status::OK();

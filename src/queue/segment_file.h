@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "geom/units.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 
@@ -20,16 +19,19 @@ namespace amdj::queue {
 /// hybrid-queue partition (the paper stores every partition beyond the
 /// in-memory heap "on disk as merely unsorted piles", Section 4.4).
 ///
-/// Records are appended through a one-page write buffer (one at a time via
-/// Append, or in page-sized batches via AppendMany); ReadAllInto streams
-/// every record back with a single copy. Page reads/writes are counted into
-/// the optional JoinStats sink (queue_page_reads / queue_page_writes).
+/// Records are staged in one buffer that grows to a page (one at a time
+/// via Append, or in batches via AppendMany); a full page is written from
+/// that buffer as is, so a synchronous spill copies each record once on
+/// its way to the disk and allocates nothing per page. ReadAllInto streams
+/// every record back with a single copy. Page reads/writes are counted
+/// into the optional JoinStats sink (queue_page_reads / queue_page_writes).
 ///
 /// Asynchronous spill I/O: with an `io_pool`, full pages are written on the
 /// pool instead of inline, double-buffered — at most
 /// `kMaxInflightWrites` page writes are in flight, and submitting a third
-/// blocks until the oldest completes. The structural state (pages_, count_,
-/// write_buffer_) stays coordinator-confined like the owning queue; workers
+/// blocks until the oldest completes. Each submitted write owns a copy of
+/// its page. The structural state (pages_, count_, page_, staged_) stays
+/// coordinator-confined like the owning queue; workers
 /// touch only their captured page buffer, the thread-safe DiskManager, and
 /// the annotated async-completion state below. Completion handshake:
 /// every submitted page gets a sequence number; WaitWritesThrough(seq)
@@ -63,9 +65,8 @@ class SegmentFile {
   Status Append(const void* record);
 
   /// Appends `n` records packed back-to-back at `records`, staging them
-  /// into page-sized writes (the bulk path used by hybrid-queue spills —
-  /// one page write per RecordsPerPage() records instead of per-record
-  /// buffer bookkeeping).
+  /// a page at a time (the bulk path used by hybrid-queue spills —
+  /// one copy and one page write per RecordsPerPage() records).
   Status AppendMany(const void* records, size_t n);
 
   /// Copies all records (buffered + on disk) into `out`, packed
@@ -104,16 +105,14 @@ class SegmentFile {
   uint64_t write_seq() const { return submitted_seq_; }
 
   /// The page ids holding flushed records, in append order. Records fill
-  /// RecordsPerPage() per page; the in-memory write buffer holds the tail.
+  /// RecordsPerPage() per page; the staging page holds the tail.
   /// Coordinator-thread only; pages already submitted for writing are
   /// readable once WaitWritesThrough(write_seq()) returned (the prefetch
   /// contract).
   const std::vector<storage::PageId>& pages() const { return pages_; }
 
-  /// Records currently staged in the write buffer (not yet on any page).
-  size_t buffered_records() const {
-    return write_buffer_.size() / record_size_;
-  }
+  /// Records currently in the staging page (not yet on any page on disk).
+  size_t buffered_records() const { return staged_ / record_size_; }
 
   uint64_t count() const { return count_; }
   size_t record_size() const { return record_size_; }
@@ -132,21 +131,17 @@ class SegmentFile {
                               uint64_t max_records, char* out,
                               uint64_t* pages_read);
 
-  /// Inclusive lower bound of the key range this segment holds; used by
-  /// HybridQueue to route insertions and order swap-ins.
-  geom::KeyVal lower_bound = geom::KeyVal::Zero();
-
  private:
-  /// Writes the buffered records out as one page (inline, or on the io
-  /// pool when configured). On failure the freshly allocated page is freed
-  /// (not leaked) and the buffer is kept so the flush can be retried.
-  Status FlushBuffer();
+  /// Copies `n` records into the staging page, growing it as needed. The
+  /// caller guarantees they fit in one page.
+  void Stage(const char* records, size_t n);
 
-  /// Allocates a page id, records it in pages_, and writes `page`
-  /// (kPageSize bytes) to it — inline when no io pool, otherwise as an
-  /// async task taking ownership of `page`. Inline errors unrecord the
-  /// page; async errors are sticky (harvested later).
-  Status WritePageOut(std::vector<char> page);
+  /// Writes the full staging page out to a freshly allocated page id —
+  /// inline when no io pool, otherwise as an async task that owns a copy.
+  /// An inline failure frees the page id (not leaked) and keeps the
+  /// staged records so the flush can be retried; async errors are sticky
+  /// (harvested later).
+  Status FlushBuffer();
 
   /// Returns (without clearing) the sticky async error.
   Status AsyncErrorSnapshot() AMDJ_EXCLUDES(io_mu_);
@@ -158,7 +153,12 @@ class SegmentFile {
   Tracer* tracer_;
   uint64_t count_ = 0;
   std::vector<storage::PageId> pages_;
-  std::vector<char> write_buffer_;  // < one page of pending records
+  /// The staging page, the first `staged_` bytes of it holding records.
+  /// It grows on append, to kPageSize bytes by the time it is full; bytes
+  /// past RecordsPerPage() records are never written, so they stay zero
+  /// on every page.
+  std::vector<char> page_;
+  size_t staged_ = 0;
   /// Submission counter (coordinator-only writer; read under io_mu_ by
   /// waiters via completed_seq_ comparisons only).
   uint64_t submitted_seq_ = 0;

@@ -393,5 +393,57 @@ TEST(HybridQueueTest, PopBatchCrossesSegmentBoundaries) {
   }
 }
 
+// A predetermined range gets its segment file on its first append. Here the
+// first appends to two such ranges arrive only after a split and a swap-in
+// have rewritten the front of the segment table; pop values and order must
+// still match the reference exactly.
+TEST(HybridQueueTest, FirstPushIntoUncreatedRangeAfterSwapInKeepsOrder) {
+  storage::InMemoryDiskManager disk;
+  Queue::Options o = SmallMemory(&disk);  // 64 in-memory entries
+  // Ranges [64j, 64(j+1)): the memory tier holds keys below 64.
+  o.boundary_fn = [](uint64_t c) { return KeyVal(static_cast<double>(c)); };
+  Queue q(o, nullptr);
+  std::vector<Item> reference;
+  uint64_t tag = 0;
+  Random rng(5);
+  auto push = [&](double lo, double hi, int n) {
+    for (int i = 0; i < n; ++i) {
+      const Item item{KeyVal(rng.Uniform(lo, hi)), tag++};
+      ASSERT_TRUE(q.Push(item).ok());
+      reference.push_back(item);
+    }
+  };
+  auto pop_and_check = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      auto want = std::min_element(reference.begin(), reference.end(),
+                                   ItemCompare());
+      Item got;
+      ASSERT_TRUE(q.Pop(&got).ok());
+      ASSERT_EQ(got.key, want->key) << "tag " << want->tag;
+      ASSERT_EQ(got.tag, want->tag);
+      reference.erase(want);
+    }
+  };
+
+  push(0, 64, 200);   // memory overflows: rear buckets split off
+  push(64, 256, 100);  // straight into the first predetermined ranges
+  ASSERT_GT(q.split_count(), 0u);
+  for (int i = 0; q.swapin_count() == 0; ++i) {
+    ASSERT_LT(i, 300) << "no swap-in while draining";
+    pop_and_check(1);
+  }
+  const size_t ranges = q.segment_count();
+  // First entries of ranges [4992, 5056) and [5056, 5120), plus memory
+  // traffic, interleaved with pops.
+  push(5000, 5100, 150);
+  EXPECT_EQ(q.segment_count(), ranges);  // a first append adds no range
+  push(0, 64, 20);
+  pop_and_check(50);
+  push(5000, 5100, 50);
+  pop_and_check(reference.size());
+  EXPECT_TRUE(q.Empty());
+  EXPECT_GT(q.swapin_count(), 1u);
+}
+
 }  // namespace
 }  // namespace amdj::queue

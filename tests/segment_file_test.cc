@@ -89,10 +89,8 @@ TEST(SegmentFileTest, MoveTransfersOwnership) {
   SegmentFile a(&disk, sizeof(Record), nullptr);
   Record r{3.5, 9};
   for (int i = 0; i < 500; ++i) ASSERT_TRUE(a.Append(&r).ok());
-  a.lower_bound = geom::KeyVal(7.0);
   SegmentFile b = std::move(a);
   EXPECT_EQ(b.count(), 500u);
-  EXPECT_EQ(b.lower_bound, geom::KeyVal(7.0));
   std::vector<char> bytes;
   ASSERT_TRUE(b.ReadAll(&bytes).ok());
   EXPECT_EQ(bytes.size(), 500 * sizeof(Record));
