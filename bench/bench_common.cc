@@ -27,8 +27,6 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
       config.memory_bytes = v;
     } else if (std::sscanf(arg, "--seed=%" SCNu64, &v) == 1) {
       config.seed = v;
-    } else if (std::sscanf(arg, "--spill-io-threads=%" SCNu64, &v) == 1) {
-      config.spill_io_threads = static_cast<uint32_t>(v);
     } else if (std::strcmp(arg, "--quick") == 0) {
       config.streets /= 10;
       config.hydro /= 10;
@@ -44,7 +42,6 @@ core::JoinOptions BenchEnv::MakeJoinOptions() const {
   core::JoinOptions options;
   options.queue_memory_bytes = config.memory_bytes;
   options.queue_disk = queue_disk.get();
-  options.spill_io_pool = spill_io_pool.get();
   return options;
 }
 
@@ -53,10 +50,6 @@ BenchEnv MakeTigerEnv(const BenchConfig& config) {
   env.config = config;
   env.tree_disk = std::make_unique<storage::InMemoryDiskManager>();
   env.queue_disk = std::make_unique<storage::InMemoryDiskManager>();
-  if (config.spill_io_threads > 0) {
-    env.spill_io_pool = std::make_unique<ThreadPool>(config.spill_io_threads,
-                                                     "amdj-bench-io");
-  }
   env.pool = std::make_unique<storage::BufferPool>(
       env.tree_disk.get(),
       std::max<size_t>(8, config.buffer_bytes / storage::kPageSize));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "core/cost_model.h"
 #include "core/distance_join.h"
 #include "core/options.h"
@@ -24,14 +23,12 @@ namespace amdj::bench {
 ///   --memory=BYTES          main-queue memory (default 512 KB)
 ///   --quick                 1/10th workload for smoke runs
 ///   --seed=S                workload seed
-///   --spill-io-threads=N    async spill I/O threads (0 = synchronous)
 struct BenchConfig {
   uint64_t streets = 120'000;
   uint64_t hydro = 36'000;
   size_t buffer_bytes = 512 * 1024;
   size_t memory_bytes = 512 * 1024;
   uint64_t seed = 20000'05'15;
-  uint32_t spill_io_threads = 2;
 
   static BenchConfig FromArgs(int argc, char** argv);
 };
@@ -46,9 +43,6 @@ struct BenchEnv {
   std::unique_ptr<storage::BufferPool> pool;
   std::unique_ptr<rtree::RTree> streets;
   std::unique_ptr<rtree::RTree> hydro;
-  /// Async spill I/O pool (config.spill_io_threads > 0 only; results are
-  /// bit-identical either way — only wall time moves).
-  std::unique_ptr<ThreadPool> spill_io_pool;
 
   /// Join options wired to this environment's spill disk and memory size.
   core::JoinOptions MakeJoinOptions() const;

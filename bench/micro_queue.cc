@@ -3,8 +3,8 @@
 // and with disk spilling.
 //
 // The hybrid-queue benches report per-op push/pop latency and the queue's
-// structural counters (splits, swap-ins, refinements, prefetch hits/waits)
-// as benchmark counters — visible in the console output and, under
+// structural counters (splits, swap-ins, refinements) as benchmark
+// counters — visible in the console output and, under
 // --benchmark_format=json, as the "counters" object per benchmark, which
 // scripts/check_bench_regression.py consumes.
 
@@ -14,7 +14,6 @@
 #include <memory>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/hs_join.h"
 #include "core/pair_entry.h"
 #include "queue/distance_queue.h"
@@ -35,8 +34,6 @@ struct QueueBenchStats {
   uint64_t splits = 0;
   uint64_t swapins = 0;
   uint64_t refines = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_waits = 0;
 
   template <typename Fn>
   double TimeNs(Fn&& fn) {
@@ -51,8 +48,6 @@ struct QueueBenchStats {
     splits += q.split_count();
     swapins += q.swapin_count();
     refines += q.refine_count();
-    prefetch_hits += q.prefetch_hit_count();
-    prefetch_waits += q.prefetch_wait_count();
   }
 
   void Publish(benchmark::State& state) const {
@@ -66,8 +61,6 @@ struct QueueBenchStats {
     state.counters["splits"] = static_cast<double>(splits);
     state.counters["swapins"] = static_cast<double>(swapins);
     state.counters["refines"] = static_cast<double>(refines);
-    state.counters["prefetch_hits"] = static_cast<double>(prefetch_hits);
-    state.counters["prefetch_waits"] = static_cast<double>(prefetch_waits);
   }
 };
 
@@ -246,46 +239,6 @@ void BM_HybridQueueTiePlateau(benchmark::State& state) {
   bench.Publish(state);
 }
 BENCHMARK(BM_HybridQueueTiePlateau)->Arg(1 << 14)->Arg(1 << 17);
-
-/// Async spill I/O: double-buffered page writes + next-segment prefetch on
-/// a two-thread pool. Identical pop stream to the synchronous bench; the
-/// prefetch_hits counter shows how much of the swap-in I/O overlapped.
-void BM_HybridQueueSpillingAsyncIo(benchmark::State& state) {
-  Random rng(5);
-  ThreadPool io_pool(2, "micro-queue-io");
-  QueueBenchStats bench;
-  for (auto _ : state) {
-    state.PauseTiming();
-    storage::InMemoryDiskManager disk;
-    core::MainQueue::Options options;
-    options.disk = &disk;
-    options.memory_bytes = 64 * 1024;
-    options.io_pool = &io_pool;
-    const double n = static_cast<double>(state.range(0));
-    options.boundary_fn = [n](uint64_t c) {
-      return geom::KeyVal(static_cast<double>(c) / n);
-    };
-    core::MainQueue q(options, nullptr);
-    state.ResumeTiming();
-    bench.push_ns += bench.TimeNs([&] {
-      for (int i = 0; i < state.range(0); ++i) {
-        benchmark::DoNotOptimize(q.Push(MakeEntry(rng.NextDouble())));
-      }
-    });
-    bench.pushes += state.range(0);
-    bench.pop_ns += bench.TimeNs([&] {
-      core::PairEntry out;
-      while (!q.Empty()) {
-        benchmark::DoNotOptimize(q.Pop(&out));
-      }
-    });
-    bench.pops += state.range(0);
-    bench.Absorb(q);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-  bench.Publish(state);
-}
-BENCHMARK(BM_HybridQueueSpillingAsyncIo)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace
 }  // namespace amdj

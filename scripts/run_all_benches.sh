@@ -12,7 +12,7 @@
 # node accesses and distance computations of every measured run (emitted by
 # bench_common via AMDJ_BENCH_JSON), per microbench the google-benchmark
 # JSON entries including custom counters (per-op push/pop latency, queue
-# splits/swap-ins/prefetch hits), and per throughput-bench (the closed-loop
+# splits/swap-ins/refinements), and per throughput-bench (the closed-loop
 # multi_query replay and the open-loop Poisson bench) its own --json
 # summary with qps and p50/p99/p999 latency — so the perf trajectory is
 # tracked PR over PR against the checked-in BENCH_PR2.json baseline. Each
@@ -83,7 +83,7 @@ if command -v jq >/dev/null 2>&1; then
       jq -s '{(.[0].bench // "unknown"): {runs: .}}' "$f"
     done | jq -s 'add // {}' >"$OUT_DIR/json/_figs.json"
     # microbenches: name/real_time/items plus any custom counters
-    # (push_ns_per_op, pop_ns_per_op, splits, prefetch_hits, ...) from the
+    # (push_ns_per_op, pop_ns_per_op, splits, swapins, ...) from the
     # google-benchmark JSON. Counters land as extra top-level numeric keys
     # per benchmark entry, so pick up everything numeric beyond the core
     # fields.

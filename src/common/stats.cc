@@ -8,11 +8,11 @@
 
 namespace amdj {
 
-// Field-count tripwire: 20 uint64_t counters + 2 double times. If this
+// Field-count tripwire: 18 uint64_t counters + 2 double times. If this
 // fires you added (or removed) a JoinStats field — update
 // ForEachJoinStatsField in stats.h and then this constant; every derived
 // serialization (ToString/ToJson/Add/deltas) follows automatically.
-static_assert(sizeof(JoinStats) == 20 * sizeof(uint64_t) + 2 * sizeof(double),
+static_assert(sizeof(JoinStats) == 18 * sizeof(uint64_t) + 2 * sizeof(double),
               "JoinStats changed: update ForEachJoinStatsField (stats.h) "
               "and this size check");
 

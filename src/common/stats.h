@@ -52,10 +52,6 @@ struct JoinStats {
   /// Adaptive front-bucket refinements (gather+sort passes when the
   /// estimator-derived bucket boundaries are off).
   uint64_t queue_bucket_refinements = 0;
-  /// Swap-ins whose async prefetch had already completed (I/O fully
-  /// overlapped with the front drain) vs. had to be waited for.
-  uint64_t queue_prefetch_hits = 0;
-  uint64_t queue_prefetch_waits = 0;
   /// Peak number of in-memory key-space buckets.
   uint64_t main_queue_peak_buckets = 0;
 
@@ -138,10 +134,6 @@ void ForEachJoinStatsFieldPair(StatsA&& a, StatsB&& b, Fn&& fn) {
   fn("queue_swapins", a.queue_swapins, b.queue_swapins, StatFieldKind::kAdd);
   fn("queue_bucket_refinements", a.queue_bucket_refinements,
      b.queue_bucket_refinements, StatFieldKind::kAdd);
-  fn("queue_prefetch_hits", a.queue_prefetch_hits, b.queue_prefetch_hits,
-     StatFieldKind::kAdd);
-  fn("queue_prefetch_waits", a.queue_prefetch_waits, b.queue_prefetch_waits,
-     StatFieldKind::kAdd);
   fn("main_queue_peak_buckets", a.main_queue_peak_buckets,
      b.main_queue_peak_buckets, StatFieldKind::kMax);
   fn("node_buffer_hits", a.node_buffer_hits, b.node_buffer_hits,

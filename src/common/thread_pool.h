@@ -18,8 +18,8 @@
 namespace amdj {
 
 /// Fixed-size pool of named worker threads executing submitted tasks in
-/// FIFO order. Runs the JoinService's concurrent queries and its async
-/// spill I/O; generic enough for any fan-out.
+/// FIFO order. Runs the JoinService's concurrent queries; generic enough
+/// for any fan-out.
 ///
 /// Lifecycle: workers start in the constructor and idle on a condition
 /// variable when the task queue is empty (no spinning). The destructor

@@ -14,7 +14,6 @@ MainQueue::Options MakeMainQueueOptions(const rtree::RTree& r,
   MainQueue::Options qopts;
   qopts.memory_bytes = options.queue_memory_bytes;
   qopts.disk = options.queue_disk;
-  qopts.io_pool = options.spill_io_pool;
   qopts.tracer = options.tracer;
   qopts.report = options.report;
   if (options.queue_disk != nullptr &&

@@ -10,9 +10,8 @@
 #include "storage/disk_manager.h"
 
 namespace amdj {
-class Tracer;      // common/trace.h
-class RunReport;   // common/run_report.h
-class ThreadPool;  // common/thread_pool.h
+class Tracer;     // common/trace.h
+class RunReport;  // common/run_report.h
 }  // namespace amdj
 
 namespace amdj::core {
@@ -71,17 +70,6 @@ struct JoinOptions {
   /// Spill target for the main queue's disk segments and the external
   /// sorter. nullptr keeps queues entirely in memory (useful for tests).
   storage::DiskManager* queue_disk = nullptr;
-
-  /// Thread pool for asynchronous main-queue spill I/O: segment page
-  /// writes are double-buffered onto this pool and the next swap-in
-  /// segment is prefetched while the front drains. nullptr (the default)
-  /// keeps spill I/O synchronous on the join thread. Not owned; must
-  /// outlive the join. MUST NOT be a pool whose workers drive queries into
-  /// this join (e.g. the JoinService query pool): a spill write blocking
-  /// on a pool made entirely of query workers deadlocks. `queue_disk`
-  /// must be internally thread-safe when set (the repo's disk managers
-  /// are).
-  ThreadPool* spill_io_pool = nullptr;
 
   /// Plane-sweep optimization level.
   SweepStrategy sweep = SweepStrategy::kOptimized;

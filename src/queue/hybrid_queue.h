@@ -2,7 +2,6 @@
 #define AMDJ_QUEUE_HYBRID_QUEUE_H_
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -11,13 +10,10 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/mutex.h"
 #include "common/run_report.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_checker.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "geom/units.h"
 #include "queue/binary_heap.h"
@@ -62,16 +58,6 @@ namespace amdj::queue {
 /// never spilled (a key plateau must never straddle the memory/disk
 /// boundary).
 ///
-/// Async spill I/O: with `Options::io_pool`, segment page writes are
-/// double-buffered on the pool (see SegmentFile), and while the front
-/// drains the queue *prefetches* the next shortest-range segment — a pool
-/// worker reads a snapshot of its full pages into a byte buffer, ordered
-/// after the writes that produced them by the SegmentFile sequence
-/// handshake. The worker touches only that buffer, the thread-safe disk
-/// manager/tracer, and the handshake state — never the queue structure,
-/// which stays coordinator-confined; the coordinator harvests the buffer
-/// (and reads the post-snapshot tail itself) at swap-in.
-///
 /// If `boundary_fn` is provided, segment boundaries are predetermined at
 /// construction as boundary_fn(i * n) for memory capacity n, which routes
 /// distant insertions straight to the right pile and minimizes split/swap
@@ -100,9 +86,9 @@ namespace amdj::queue {
 ///
 /// Concurrency contract: thread-confined. The queue — in particular the
 /// split/swap-in path, which rewrites the bucket and segment structure
-/// together — is mutated exclusively by the coordinating (query) thread;
-/// spill-I/O workers touch only the byte-buffer handshakes described
-/// above. Confinement is enforced: every mutating entry point checks the
+/// together — is mutated exclusively by the coordinating (query) thread,
+/// and every spill write and swap-in read runs synchronously on it.
+/// Confinement is enforced: every mutating entry point checks the
 /// confinement owner (common/thread_checker.h) and aborts on a
 /// cross-thread call instead of corrupting the boundary structure.
 template <typename T, typename Compare>
@@ -137,17 +123,9 @@ class HybridQueue {
     /// More buckets make overflow spills finer-grained; 1 disables the
     /// subdivision (a single catch-all bucket, refined adaptively).
     size_t memory_buckets = 16;
-    /// Optional pool for asynchronous spill I/O: double-buffered segment
-    /// page writes and next-segment prefetch. nullptr (the default) keeps
-    /// all I/O synchronous on the coordinator thread. Not owned. Must NOT
-    /// be a pool whose workers themselves drive queries into this queue
-    /// (e.g. the join service's query pool): a full pool of such workers
-    /// would wait on I/O tasks that can never be scheduled.
-    ThreadPool* io_pool = nullptr;
     /// Optional observability hooks (common/trace.h, common/run_report.h):
-    /// split/swap-in/prefetch events and per-push depth samples. Both
-    /// nullable (the default), not owned. The tracer is thread-safe and
-    /// is also handed to I/O workers; the report is coordinator-only.
+    /// split/swap-in events and per-push depth samples. Both nullable (the
+    /// default), not owned.
     Tracer* tracer = nullptr;
     RunReport* report = nullptr;
   };
@@ -183,13 +161,6 @@ class HybridQueue {
         prev = b;
       }
     }
-  }
-
-  ~HybridQueue() {
-    // The prefetch worker reads pages owned by a segment about to be
-    // destroyed; segments themselves quiesce their writers in their own
-    // destructors.
-    AbandonPrefetch();
   }
 
   HybridQueue(const HybridQueue&) = delete;
@@ -240,38 +211,6 @@ class HybridQueue {
     return Status::OK();
   }
 
-  /// Copies the minimum entry into `*out` without removing it; OutOfRange
-  /// when empty. May swap a disk segment into memory (the global minimum
-  /// is always in memory afterwards, so a following Pop is in-memory).
-  Status Peek(T* out) {
-    AMDJ_CHECK(owner_.CalledOnValidThread())
-        << "HybridQueue::Peek off the coordinator thread";
-    AMDJ_RETURN_IF_ERROR(SettleFront());
-    if (mem_count_ == 0) return Status::OutOfRange("queue is empty");
-    *out = *FrontHead().item;
-    return Status::OK();
-  }
-
-  /// Batched pop: removes entries in priority order, appending them to
-  /// `*out`, while `take(entry)` returns true, stopping after `max_n`
-  /// entries or when the queue is empty. An entry rejected by `take` is
-  /// left at the front of the queue (it is inspected, not removed), so the
-  /// caller can alternate batches of different kinds without re-pushing.
-  template <typename Take>
-  Status PopBatch(size_t max_n, Take&& take, std::vector<T>* out) {
-    AMDJ_CHECK(owner_.CalledOnValidThread())
-        << "HybridQueue::PopBatch off the coordinator thread";
-    for (size_t n = 0; n < max_n; ++n) {
-      AMDJ_RETURN_IF_ERROR(SettleFront());
-      if (mem_count_ == 0) break;
-      const Head head = FrontHead();
-      if (!take(*head.item)) break;
-      out->push_back(*head.item);
-      DropFrontHead(head);
-    }
-    return Status::OK();
-  }
-
   /// Number of memory->disk split events performed (a rear-bucket spill or
   /// an adaptive front refinement that spilled; one event may write
   /// several segments).
@@ -289,10 +228,6 @@ class HybridQueue {
   size_t bucket_count() const { return buckets_.size(); }
   /// Adaptive front-bucket refinements (gather+sort passes).
   uint64_t refine_count() const { return refines_; }
-  /// Swap-ins whose prefetch had already completed (overlap won) / had to
-  /// be waited for (overlap partial).
-  uint64_t prefetch_hit_count() const { return prefetch_hits_; }
-  uint64_t prefetch_wait_count() const { return prefetch_waits_; }
 
  private:
   /// A key range of the in-memory tier. Only the front bucket is ever
@@ -330,21 +265,6 @@ class HybridQueue {
     std::unique_ptr<SegmentFile> file;
   };
 
-  /// Result buffer of an in-flight next-segment read. The coordinator owns
-  /// it; the pool worker fills `data` and flips `done` under `mu` — the
-  /// entire cross-thread surface.
-  struct Prefetch {
-    SegmentFile* seg = nullptr;
-    size_t snap_pages = 0;      ///< Full pages covered by the snapshot.
-    uint64_t snap_records = 0;  ///< snap_pages * records-per-page.
-    std::vector<char> data;     ///< Written by the worker before `done`.
-    Mutex mu;
-    CondVar cv;
-    bool done AMDJ_GUARDED_BY(mu) = false;
-    Status status AMDJ_GUARDED_BY(mu);
-    uint64_t page_reads AMDJ_GUARDED_BY(mu) = 0;
-  };
-
   /// Runs of at least this size seal into their own block; smaller ones
   /// go through the fresh heap (a cursor block must be worth its scan slot
   /// in the pop loop).
@@ -358,8 +278,7 @@ class HybridQueue {
   static constexpr size_t kMaxExemptBlocks = 32;
 
   std::unique_ptr<SegmentFile> MakeSegment() const {
-    return std::make_unique<SegmentFile>(options_.disk, sizeof(T), stats_,
-                                         options_.io_pool, options_.tracer);
+    return std::make_unique<SegmentFile>(options_.disk, sizeof(T), stats_);
   }
 
   /// Records one successful insertion (call after the entry is in). The
@@ -522,14 +441,9 @@ class HybridQueue {
     return h;
   }
 
-  /// Copies then removes the front head.
+  /// Copies then removes the entry FrontHead() returned.
   void TakeFrontHead(const Head& head, T* out) {
     *out = *head.item;
-    DropFrontHead(head);
-  }
-
-  /// Removes the entry FrontHead() returned.
-  void DropFrontHead(const Head& head) {
     switch (head.src) {
       case Src::kDrain:
         ++drain_pos_;
@@ -765,19 +679,19 @@ class HybridQueue {
     blocks_.push_back(std::move(b));
   }
 
-  /// Memory underflow: load the shortest-range segment (through the
-  /// prefetch buffer when one targeted it); if it exceeds the memory
-  /// capacity, re-spill its farther part in page-sized batches.
+  /// Memory underflow: load the shortest-range segment; if it exceeds the
+  /// memory capacity, re-spill its farther part in page-sized batches.
   Status SwapIn() {
     Slot slot = std::move(segments_.front());
     segments_.erase(segments_.begin());
     SegmentFile* seg = slot.file.get();
     if (seg == nullptr || seg->count() == 0) return Status::OK();  // empty
     std::vector<T> items(static_cast<size_t>(seg->count()));
-    const Status loaded = LoadSegment(seg, &items);
+    const Status loaded =
+        seg->ReadAllInto(reinterpret_cast<char*>(items.data()));
     if (!loaded.ok()) {
-      // Put the segment back: its records are intact (pages + write
-      // buffer), so a healed disk can retry the swap-in — and TotalSize()
+      // Put the segment back: its records are intact (pages + staging
+      // page), so a healed disk can retry the swap-in — and TotalSize()
       // keeps matching the per-segment counts.
       segments_.insert(segments_.begin(), std::move(slot));
       return loaded;
@@ -812,7 +726,6 @@ class HybridQueue {
       }
     }
     InstallFront(std::move(items), sorted);
-    StartPrefetch();
     return Status::OK();
   }
 
@@ -830,130 +743,6 @@ class HybridQueue {
     } else {
       buckets_.front().entries = std::move(items);
     }
-  }
-
-  /// Reads a segment into `items` (sized to seg->count()), consuming the
-  /// prefetch buffer when it targeted this segment: the snapshot part is a
-  /// memcpy, and only the pages appended after the snapshot are read here.
-  Status LoadSegment(SegmentFile* seg, std::vector<T>* items) {
-    char* out = reinterpret_cast<char*>(items->data());
-    if (prefetch_ != nullptr && prefetch_->seg == seg) {
-      std::unique_ptr<Prefetch> pf = std::move(prefetch_);
-      bool waited;
-      uint64_t wait_nanos = 0;
-      {
-        MutexLock lock(&pf->mu);
-        waited = !pf->done;
-        if (waited && MetricsEnabled()) {
-          const uint64_t wait_start = MetricsNowNanos();
-          while (!pf->done) pf->cv.Wait(&pf->mu);
-          wait_nanos = MetricsNowNanos() - wait_start;
-        } else {
-          while (!pf->done) pf->cv.Wait(&pf->mu);
-        }
-        if (stats_ != nullptr) stats_->queue_page_reads += pf->page_reads;
-      }
-      if (waited) {
-        static Histogram* wait_histogram =
-            MetricsRegistry::Global()->GetHistogram(
-                "amdj_queue_prefetch_wait_ns", "",
-                "Consumer waits for an in-flight segment prefetch to finish");
-        wait_histogram->Observe(wait_nanos);
-        ++prefetch_waits_;
-        if (stats_ != nullptr) ++stats_->queue_prefetch_waits;
-        AMDJ_TRACE(options_.tracer,
-                   Instant("queue_prefetch_wait",
-                           {{"pages",
-                             static_cast<double>(pf->snap_pages)}}));
-      } else {
-        ++prefetch_hits_;
-        if (stats_ != nullptr) ++stats_->queue_prefetch_hits;
-        AMDJ_TRACE(options_.tracer,
-                   Instant("queue_prefetch_hit",
-                           {{"pages",
-                             static_cast<double>(pf->snap_pages)}}));
-      }
-      Status status;
-      {
-        MutexLock lock(&pf->mu);
-        status = pf->status;
-      }
-      AMDJ_RETURN_IF_ERROR(status);
-      std::memcpy(out, pf->data.data(), pf->snap_records * sizeof(T));
-      return seg->ReadTailInto(pf->snap_pages,
-                               out + pf->snap_records * sizeof(T));
-    }
-    return seg->ReadAllInto(out);
-  }
-
-  /// Kicks off an async read of the next non-empty segment's current full
-  /// pages, overlapping its I/O with the front bucket's drain. One in
-  /// flight at a time; a prefetch for a not-yet-front segment stays alive
-  /// until that segment's own swap-in.
-  void StartPrefetch() {
-    if (options_.io_pool == nullptr || prefetch_ != nullptr) return;
-    const Slot* next = nullptr;
-    for (const Slot& s : segments_) {
-      if (s.file != nullptr && s.file->count() > 0) {
-        next = &s;
-        break;
-      }
-    }
-    if (next == nullptr || next->file->pages().empty()) return;
-    SegmentFile* seg = next->file.get();
-
-    auto pf = std::make_unique<Prefetch>();
-    pf->seg = seg;
-    pf->snap_pages = seg->pages().size();
-    pf->snap_records =
-        static_cast<uint64_t>(pf->snap_pages) * seg->RecordsPerPage();
-    pf->data.resize(pf->snap_records * sizeof(T));
-    const uint64_t write_seq = seg->write_seq();
-    std::vector<storage::PageId> page_ids(
-        seg->pages().begin(), seg->pages().begin() + pf->snap_pages);
-    AMDJ_TRACE(options_.tracer,
-               Instant("queue_prefetch_submit",
-                       {{"pages", static_cast<double>(pf->snap_pages)},
-                        {"lower_bound_key", next->lower_bound.raw()}}));
-    Prefetch* p = pf.get();
-    storage::DiskManager* disk = options_.disk;
-    Tracer* tracer = options_.tracer;
-    const size_t per_page = seg->RecordsPerPage();
-    options_.io_pool->Submit([p, disk, tracer, seg, write_seq, per_page,
-                              page_ids = std::move(page_ids)]() {
-      // Order after the writes that produced the snapshot pages. Those
-      // writes were submitted before this task, so on a FIFO pool the
-      // wait cannot deadlock even with a single worker.
-      Status status = seg->WaitWritesThrough(write_seq);
-      uint64_t reads = 0;
-      if (status.ok()) {
-        const TraceSpan span(
-            tracer, "spill_prefetch_io",
-            {{"pages", static_cast<double>(page_ids.size())}});
-        status = SegmentFile::ReadPagesInto(
-            disk, page_ids, sizeof(T), per_page,
-            std::numeric_limits<uint64_t>::max(), p->data.data(), &reads);
-      }
-      const MutexLock lock(&p->mu);
-      p->page_reads = reads;
-      p->status = status;
-      p->done = true;
-      p->cv.NotifyAll();
-    });
-    prefetch_ = std::move(pf);
-  }
-
-  /// Waits out (and discards) any in-flight prefetch.
-  void AbandonPrefetch() {
-    if (prefetch_ == nullptr) return;
-    {
-      MutexLock lock(&prefetch_->mu);
-      while (!prefetch_->done) prefetch_->cv.Wait(&prefetch_->mu);
-      if (stats_ != nullptr) {
-        stats_->queue_page_reads += prefetch_->page_reads;
-      }
-    }
-    prefetch_.reset();
   }
 
   Options options_;
@@ -979,7 +768,6 @@ class HybridQueue {
   geom::KeyVal open_run_key_ = geom::KeyVal::Zero();
 
   std::vector<Slot> segments_;  // by lower_bound ascending
-  std::unique_ptr<Prefetch> prefetch_;
 
   uint64_t mem_count_ = 0;    ///< Entries in the memory tier.
   uint64_t total_count_ = 0;  ///< Memory + segments (incl. phantom staged).
@@ -990,8 +778,6 @@ class HybridQueue {
   uint64_t splits_ = 0;
   uint64_t swapins_ = 0;
   uint64_t refines_ = 0;
-  uint64_t prefetch_hits_ = 0;
-  uint64_t prefetch_waits_ = 0;
 
   /// Confinement owner: bound to the first mutating caller (see the class
   /// comment's concurrency contract).

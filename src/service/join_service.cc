@@ -113,23 +113,14 @@ JoinService::JoinService(const rtree::RTree& r, const rtree::RTree& s,
       s_(s),
       options_(options),
       max_inflight_(std::max<uint32_t>(1, options.max_inflight)),
-      per_query_queue_memory_(std::max(
-          kMinQueueMemoryBytes,
-          options.queue_memory_budget_bytes / max_inflight_ /
-              // Async spill I/O holds pages and prefetch buffers outside
-              // the accounted in-memory tier (see Options doc): halve the
-              // clamp so the total stays within the budget.
-              (options.spill_io_threads > 0 ? 2 : 1))),
+      per_query_queue_memory_(
+          std::max(kMinQueueMemoryBytes,
+                   options.queue_memory_budget_bytes / max_inflight_)),
       shared_(std::make_unique<SharedWorkRegistry>(
           options.shared_cache_entries,
           GlobalServiceMetrics().shared_cache_entries)),
       pool_(std::make_unique<ThreadPool>(max_inflight_,
-                                         options.name_prefix)) {
-  if (options.spill_io_threads > 0) {
-    io_pool_ = std::make_unique<ThreadPool>(options.spill_io_threads,
-                                            options.name_prefix + "-io");
-  }
-}
+                                         options.name_prefix)) {}
 
 JoinService::~JoinService() {
   // Draining happens in the pool destructor; pool_ being the last member
@@ -145,11 +136,8 @@ core::JoinOptions JoinService::EffectiveOptions(
       std::min(effective.queue_memory_bytes, per_query_queue_memory_);
   // The session spill disk is per-execution; whatever the caller set is
   // replaced (a shared spill disk across concurrent queries would mix
-  // their segments and outlive neither cleanly). Likewise the spill I/O
-  // pool: the service's own (or none) — a caller-supplied pool could be
-  // the query pool itself, which deadlocks (see Options).
+  // their segments and outlive neither cleanly).
   effective.queue_disk = nullptr;
-  effective.spill_io_pool = nullptr;
   return effective;
 }
 
@@ -368,7 +356,6 @@ JoinResponse JoinService::Execute(const JoinRequest& request,
   // queries.
   storage::InMemoryDiskManager session_disk;
   if (options_.session_spill_disk) options.queue_disk = &session_disk;
-  options.spill_io_pool = io_pool_.get();
 
   Timer exec;
   ExecuteRequest(request, options, &response);

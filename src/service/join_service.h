@@ -92,17 +92,6 @@ class JoinService {
     /// and the memory clamp is only nominal — spilling is what makes the
     /// budget enforceable.
     bool session_spill_disk = true;
-    /// Dedicated threads for asynchronous main-queue spill I/O, shared by
-    /// all in-flight queries. 0 (the default) keeps spill I/O synchronous
-    /// on the query worker. Deliberately a separate pool from the query
-    /// workers: a spill write queued behind queries that are themselves
-    /// waiting on spill I/O would deadlock. When on, the per-query memory
-    /// clamp is halved — async spilling holds up to
-    /// SegmentFile::kMaxInflightWrites pages per segment plus one
-    /// prefetched segment (up to a full in-memory tier) outside the
-    /// queue's accounted tier, so a query's resident footprint can
-    /// transiently double.
-    uint32_t spill_io_threads = 0;
     /// Admission cap on requests queued but not yet started; 0 (the
     /// default) is unlimited. A Submit over the cap is rejected *without*
     /// blocking: its future is immediately ready with
@@ -235,11 +224,6 @@ class JoinService {
   /// then mutex_ (Submit nests the admission check inside the registry's
   /// membership check so the two decisions are one atomic step).
   std::unique_ptr<SharedWorkRegistry> shared_;
-
-  /// Spill I/O pool (Options::spill_io_threads > 0 only). Declared before
-  /// pool_: query workers submit I/O tasks here, so it must outlive the
-  /// query pool's drain.
-  std::unique_ptr<ThreadPool> io_pool_;
 
   /// Last member: destroyed (drained) first, while the counters above are
   /// still alive for the final tasks.

@@ -58,10 +58,10 @@ void AppendOptRect(std::string* out, const std::optional<geom::Rect>& r) {
 }
 
 /// Every JoinOptions knob that can influence the response bytes or stats
-/// of an execution this request might share. queue_memory_bytes,
-/// queue_disk and spill_io_pool are deliberately absent: spilling changes
-/// where the queue lives, never what the join returns, and the service
-/// overrides all three anyway (EffectiveOptions).
+/// of an execution this request might share. queue_memory_bytes and
+/// queue_disk are deliberately absent: spilling changes where the queue
+/// lives, never what the join returns, and the service overrides both
+/// anyway (EffectiveOptions).
 std::string SemanticOptionsKey(const core::JoinOptions& o) {
   std::string key;
   AppendU64(&key, static_cast<uint64_t>(o.metric));

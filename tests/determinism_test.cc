@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/distance_join.h"
 #include "core/semi_join.h"
 #include "geom/kernels.h"
@@ -22,8 +21,7 @@ struct RunOutput {
   uint64_t node_accesses;
 };
 
-RunOutput RunOnce(KdjAlgorithm algorithm, uint64_t seed,
-                  ThreadPool* spill_io_pool = nullptr) {
+RunOutput RunOnce(KdjAlgorithm algorithm, uint64_t seed) {
   const geom::Rect uni(0, 0, 50000, 50000);
   workload::TigerSynthOptions wopts;
   wopts.street_segments = 4000;
@@ -35,7 +33,6 @@ RunOutput RunOnce(KdjAlgorithm algorithm, uint64_t seed,
   JoinOptions options;
   options.queue_disk = f.queue_disk.get();
   options.queue_memory_bytes = 32 * 1024;
-  options.spill_io_pool = spill_io_pool;
   JoinStats stats;
   auto result = RunKDistanceJoin(*f.r, *f.s, 2000, algorithm, options,
                                  &stats);
@@ -89,25 +86,6 @@ TEST_P(DeterminismTest, ScalarAndSimdBackendsEmitIdenticalPairOrder) {
   EXPECT_EQ(scalar.distance_computations, dispatched.distance_computations);
   EXPECT_EQ(scalar.queue_insertions, dispatched.queue_insertions);
   EXPECT_EQ(scalar.node_accesses, dispatched.node_accesses);
-}
-
-// Asynchronous spill I/O (double-buffered segment writes + next-segment
-// prefetch) is a wall-clock optimization only: a run with a spill I/O pool
-// attached must be bit-identical — results, order, and work counters — to
-// the synchronous run. This is the end-to-end form of the queue's
-// "workers never touch queue structure" confinement contract.
-TEST_P(DeterminismTest, AsyncSpillIoMatchesSynchronousBitForBit) {
-  const RunOutput sync_run = RunOnce(GetParam(), 424242);
-  ThreadPool io_pool(2, "determinism-io");
-  const RunOutput async_run = RunOnce(GetParam(), 424242, &io_pool);
-  ASSERT_EQ(sync_run.results.size(), async_run.results.size());
-  for (size_t i = 0; i < sync_run.results.size(); ++i) {
-    ASSERT_EQ(sync_run.results[i], async_run.results[i])
-        << "rank " << i << " differs between sync and async spill I/O";
-  }
-  EXPECT_EQ(sync_run.distance_computations, async_run.distance_computations);
-  EXPECT_EQ(sync_run.queue_insertions, async_run.queue_insertions);
-  EXPECT_EQ(sync_run.node_accesses, async_run.node_accesses);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKdj, DeterminismTest,

@@ -8,11 +8,10 @@
 //     comparator tie-break order no matter how runs were sealed;
 //   - misleading boundary_fn estimates (the adaptive-refinement path)
 //     change wall time, never output;
-//   - async spill I/O (double-buffered writes + prefetch) is invisible in
-//     the output stream;
-//   - injected I/O faults mid-split and mid-prefetch surface as Status
+//   - injected I/O faults mid-split and mid-swap-in surface as Status
 //     errors, and after Heal the queue drains every accepted entry in
-//     order (no loss, no duplication, no hang).
+//     order (no loss, no duplication); a failed swap-in reinstalls its
+//     segment intact.
 
 #include <cstdint>
 #include <limits>
@@ -22,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "geom/units.h"
 #include "queue/hybrid_queue.h"
 #include "storage/disk_manager.h"
@@ -85,7 +83,6 @@ struct Scenario {
   KeyDist dist;
   /// nullptr = no predetermined boundaries (pure adaptive refinement).
   std::function<KeyVal(uint64_t)> boundary_fn;
-  bool async_io = false;
 };
 
 /// Interleaves pushes and pops against the reference, then drains both,
@@ -93,14 +90,10 @@ struct Scenario {
 void RunDifferential(const Scenario& scenario, uint64_t seed,
                      size_t steps) {
   storage::InMemoryDiskManager disk;
-  std::unique_ptr<ThreadPool> pool;
-  if (scenario.async_io) pool = std::make_unique<ThreadPool>(2, "diff-io");
-
   Queue::Options options;
   options.memory_bytes = 1024;  // 64 entries: constant spill traffic
   options.disk = &disk;
   options.boundary_fn = scenario.boundary_fn;
-  options.io_pool = pool.get();
   JoinStats stats;
   Queue q(options, &stats);
   Reference ref;
@@ -169,24 +162,16 @@ TEST_P(HybridQueueDifferentialTest, MatchesReferenceValuesAndOrder) {
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, HybridQueueDifferentialTest,
     ::testing::Values(
-        Scenario{"UniformNoBoundary", KeyDist::kUniform, nullptr, false},
+        Scenario{"UniformNoBoundary", KeyDist::kUniform, nullptr},
         Scenario{"UniformGoodBoundary", KeyDist::kUniform,
-                 UniformBoundary(6000), false},
+                 UniformBoundary(6000)},
         Scenario{"UniformEstimatorOff", KeyDist::kUniform,
-                 MisleadingLowBoundary(), false},
-        Scenario{"TieHeavyNoBoundary", KeyDist::kTieHeavy, nullptr, false},
+                 MisleadingLowBoundary()},
+        Scenario{"TieHeavyNoBoundary", KeyDist::kTieHeavy, nullptr},
         Scenario{"TieHeavyGoodBoundary", KeyDist::kTieHeavy,
-                 UniformBoundary(6000), false},
+                 UniformBoundary(6000)},
         Scenario{"ClusteredEstimatorOff", KeyDist::kClustered,
-                 MisleadingLowBoundary(), false},
-        Scenario{"UniformAsyncIo", KeyDist::kUniform, UniformBoundary(6000),
-                 true},
-        Scenario{"UniformAsyncIoNoBoundary", KeyDist::kUniform, nullptr,
-                 true},
-        Scenario{"TieHeavyAsyncIo", KeyDist::kTieHeavy,
-                 UniformBoundary(6000), true},
-        Scenario{"ClusteredAsyncIoEstimatorOff", KeyDist::kClustered,
-                 MisleadingLowBoundary(), true}),
+                 MisleadingLowBoundary()}),
     [](const auto& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------
@@ -269,20 +254,18 @@ TEST(HybridQueueFaultDifferentialTest, MidSplitWriteFaultHealsAndDrains) {
   }
 }
 
-/// Read fault armed while a prefetch is (or may be) in flight: the
-/// swap-in surfaces kIOError, the segment is reinstalled intact, and a
-/// healed disk drains the full contents in exact reference order.
+/// Read fault armed mid-drain: the next swap-in surfaces kIOError, the
+/// segment is reinstalled intact, and a healed disk drains the full
+/// contents in exact reference order.
 TEST(HybridQueueFaultDifferentialTest, MidPrefetchReadFaultHealsAndDrains) {
   storage::InMemoryDiskManager base;
   storage::FaultInjectionDiskManager disk(&base);
-  ThreadPool pool(2, "diff-io");
   Queue::Options options;
   options.memory_bytes = 1024;
   options.disk = &disk;
-  options.io_pool = &pool;
   // Deliberately under-scaled boundary estimate (10x fewer insertions than
   // actual): each segment holds several pages, so swap-ins re-spill and
-  // prefetches have real page lists to read.
+  // read real page lists.
   options.boundary_fn = UniformBoundary(3000);
   JoinStats stats;
   Queue q(options, &stats);
@@ -295,8 +278,7 @@ TEST(HybridQueueFaultDifferentialTest, MidPrefetchReadFaultHealsAndDrains) {
     ASSERT_TRUE(q.Push(item).ok());
     ref.push(item);
   }
-  // Drain a quarter: crosses several swap-ins, so a prefetch for the next
-  // segment is typically in flight when the fault arms.
+  // Drain some: crosses several swap-ins before the fault arms.
   Item got;
   for (size_t i = 0; i < 1500; ++i) {
     ASSERT_TRUE(q.Pop(&got).ok());
@@ -327,9 +309,8 @@ TEST(HybridQueueFaultDifferentialTest, MidPrefetchReadFaultHealsAndDrains) {
     ref.pop();
   }
   EXPECT_TRUE(q.Empty());
-  // The prefetch machinery must have actually engaged for this test to
-  // mean anything.
-  EXPECT_GT(stats.queue_prefetch_hits + stats.queue_prefetch_waits, 0u);
+  // Swap-ins must have actually happened for this test to mean anything.
+  EXPECT_GT(stats.queue_swapins, 0u);
 }
 
 }  // namespace

@@ -299,100 +299,6 @@ TEST(HybridQueueTest, PeakSizeStatIsTracked) {
   EXPECT_EQ(stats.main_queue_peak_size, 10u);
 }
 
-TEST(HybridQueueTest, PeekReturnsMinWithoutRemoving) {
-  Queue q(Queue::Options{}, nullptr);
-  Item it;
-  EXPECT_EQ(q.Peek(&it).code(), StatusCode::kOutOfRange);
-  for (double d : {3.0, 1.0, 2.0}) ASSERT_TRUE(q.Push({KeyVal(d), 0}).ok());
-  ASSERT_TRUE(q.Peek(&it).ok());
-  EXPECT_EQ(it.key.raw(), 1.0);
-  EXPECT_EQ(q.TotalSize(), 3u);
-  ASSERT_TRUE(q.Pop(&it).ok());
-  EXPECT_EQ(it.key.raw(), 1.0);
-  ASSERT_TRUE(q.Peek(&it).ok());
-  EXPECT_EQ(it.key.raw(), 2.0);
-}
-
-TEST(HybridQueueTest, PeekSwapsInSpilledSegments) {
-  storage::InMemoryDiskManager disk;
-  Queue q(SmallMemory(&disk), nullptr);  // 64-entry heap
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(q.Push({KeyVal(static_cast<double>(500 - i)), 0}).ok());
-  }
-  Item it;
-  // Drain the heap, leaving only disk segments; Peek must swap in.
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(q.Peek(&it).ok());
-    const KeyVal top = it.key;
-    ASSERT_TRUE(q.Pop(&it).ok());
-    EXPECT_EQ(it.key, top) << "Peek/Pop disagree at " << i;
-  }
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(HybridQueueTest, PopBatchStopsAtRejectedEntry) {
-  Queue q(Queue::Options{}, nullptr);
-  // tag 1 = "object pair", tag 0 = "node pair".
-  for (double d : {1.0, 2.0, 5.0}) ASSERT_TRUE(q.Push({KeyVal(d), 1}).ok());
-  for (double d : {3.0, 4.0}) ASSERT_TRUE(q.Push({KeyVal(d), 0}).ok());
-  std::vector<Item> out;
-  // Take "objects" first: 1.0 and 2.0; 3.0 is a node and stays queued.
-  ASSERT_TRUE(q.PopBatch(10, [](const Item& i) { return i.tag == 1; }, &out)
-                  .ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key.raw(), 1.0);
-  EXPECT_EQ(out[1].key.raw(), 2.0);
-  EXPECT_EQ(q.TotalSize(), 3u);
-  // Now take "nodes": 3.0 and 4.0; 5.0 stays.
-  out.clear();
-  ASSERT_TRUE(q.PopBatch(10, [](const Item& i) { return i.tag == 0; }, &out)
-                  .ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key.raw(), 3.0);
-  EXPECT_EQ(out[1].key.raw(), 4.0);
-  EXPECT_EQ(q.TotalSize(), 1u);
-}
-
-TEST(HybridQueueTest, PopBatchHonorsMaxAndEmptyQueue) {
-  Queue q(Queue::Options{}, nullptr);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(q.Push({KeyVal(static_cast<double>(i)), 0}).ok());
-  }
-  std::vector<Item> out;
-  ASSERT_TRUE(q.PopBatch(4, [](const Item&) { return true; }, &out).ok());
-  EXPECT_EQ(out.size(), 4u);
-  ASSERT_TRUE(q.PopBatch(100, [](const Item&) { return true; }, &out).ok());
-  EXPECT_EQ(out.size(), 10u);  // appended; queue drained
-  EXPECT_TRUE(q.Empty());
-  ASSERT_TRUE(q.PopBatch(5, [](const Item&) { return true; }, &out).ok());
-  EXPECT_EQ(out.size(), 10u);  // empty queue: no-op, not an error
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].key.raw(), static_cast<double>(i));
-  }
-}
-
-TEST(HybridQueueTest, PopBatchCrossesSegmentBoundaries) {
-  storage::InMemoryDiskManager disk;
-  Random rng(21);
-  Queue q(SmallMemory(&disk), nullptr);
-  std::vector<double> inserted;
-  for (int i = 0; i < 1000; ++i) {
-    const double d = rng.Uniform(0, 1e5);
-    inserted.push_back(d);
-    ASSERT_TRUE(q.Push({KeyVal(d), static_cast<uint64_t>(i)}).ok());
-  }
-  std::sort(inserted.begin(), inserted.end());
-  std::vector<Item> out;
-  while (!q.Empty()) {
-    ASSERT_TRUE(
-        q.PopBatch(37, [](const Item&) { return true; }, &out).ok());
-  }
-  ASSERT_EQ(out.size(), inserted.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].key.raw(), inserted[i]) << "rank " << i;
-  }
-}
-
 // A predetermined range gets its segment file on its first append. Here the
 // first appends to two such ranges arrive only after a split and a swap-in
 // have rewritten the front of the segment table; pop values and order must

@@ -23,16 +23,12 @@
 //   amdj_cli knn      --data=FILE --x=X --y=Y --k=K [--metric=l2|l1|linf]
 //   amdj_cli estimate --r=FILE --s=FILE --k=K
 //   amdj_cli batch    --r=FILE --s=FILE --requests=FILE [--inflight=N]
-//                     [--budget-kb=KB] [--spill-io-threads=N]
-//                     [--dedupe] [--shared-cache=N]
+//                     [--budget-kb=KB] [--dedupe] [--shared-cache=N]
 //                     [--metric=l2|l1|linf] [--self]
 //       replays a request file concurrently through the JoinService. Each
 //       non-empty, non-# line of the request file is
 //       `<kdj|idj> <hs|b|am|sj> <k>` (IDJ accepts hs|am); requests run
 //       with at most N in flight, each with its own attributed stats.
-//       --spill-io-threads=N (default 0 = synchronous) adds a dedicated
-//       pool for async queue-spill I/O; results are identical, the
-//       per-query memory clamp is halved (see JoinService::Options).
 //   amdj_cli serve    --r=FILE --s=FILE [batch flags]
 //                     [--requests=FILE]
 //                     [--max-queued=N] [--slow-query-ms=MS]
@@ -490,8 +486,6 @@ service::JoinService::Options ServiceOptionsFromArgs(const Args& args) {
   options.max_inflight = static_cast<uint32_t>(args.GetUint("inflight", 4));
   options.queue_memory_budget_bytes =
       static_cast<size_t>(args.GetUint("budget-kb", 4096)) * 1024;
-  options.spill_io_threads =
-      static_cast<uint32_t>(args.GetUint("spill-io-threads", 0));
   options.max_queued = static_cast<uint32_t>(args.GetUint("max-queued", 0));
   options.slow_query_seconds =
       static_cast<double>(args.GetUint("slow-query-ms", 0)) / 1000.0;
@@ -730,8 +724,7 @@ int Main(int argc, char** argv) {
                                                   "report-json", "report"};
   const std::vector<std::string> service = {
       "r", "s", "requests", "metric", "self", "inflight", "budget-kb",
-      "spill-io-threads", "max-queued", "slow-query-ms", "dedupe",
-      "shared-cache"};
+      "max-queued", "slow-query-ms", "dedupe", "shared-cache"};
   const Command commands[] = {
       {"generate", CmdGenerate,
        {"kind", "out", "n", "seed", "universe", "side", "clusters", "sigma",

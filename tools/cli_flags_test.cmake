@@ -38,6 +38,12 @@ expect_rejected("unknown flag --shard-threads"
                 ${CLI} batch ${ABSENT} --requests=absent.txt
                 --shard-threads=2)
 expect_rejected("unknown flag --shards" ${CLI} serve ${ABSENT} --shards=4)
+# Spill I/O is synchronous; the flag that added an async pool is gone.
+expect_rejected("unknown flag --spill-io-threads"
+                ${CLI} batch ${ABSENT} --requests=absent.txt
+                --spill-io-threads=2)
+expect_rejected("unknown flag --spill-io-threads"
+                ${CLI} serve ${ABSENT} --spill-io-threads=2)
 # A flag valid for one command is still unknown to another.
 expect_rejected("unknown flag --limit" ${CLI} estimate ${ABSENT} --limit=3)
 expect_rejected("unknown flag --inflight" ${CLI} join ${ABSENT} --inflight=2)
