@@ -1,14 +1,24 @@
 // Microbenchmarks for the sweep machinery: sweeping-index evaluation (the
-// paper argues it is "a trivial cost"; verify) and one full plane sweep
-// versus the Cartesian product it replaces.
+// paper argues it is "a trivial cost"; verify), one full plane sweep
+// versus the Cartesian product it replaces, and filling one sweep side
+// from a node page with and without its cached sweep order.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+
+#include "common/logging.h"
 #include "common/random.h"
 #include "core/plane_sweeper.h"
 #include "core/sweep_plan.h"
 #include "geom/metric.h"
 #include "geom/sweep_geometry.h"
+#include "rtree/node.h"
+#include "rtree/rtree.h"
+#include "rtree/sweep_order.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 
 namespace amdj {
 namespace {
@@ -57,49 +67,6 @@ std::vector<core::PairRef> MakeRefs(uint64_t n, uint64_t seed) {
   return refs;
 }
 
-void BM_PlaneSweep(benchmark::State& state) {
-  const auto left = MakeRefs(static_cast<uint64_t>(state.range(0)), 3);
-  const auto right = MakeRefs(static_cast<uint64_t>(state.range(0)), 4);
-  const double cutoff = static_cast<double>(state.range(1));
-  const core::SweepPlan plan{0, geom::SweepDirection::kForward};
-  for (auto _ : state) {
-    uint64_t emitted = 0;
-    core::PlaneSweep(left, right, plan, &cutoff, nullptr,
-                     [&](const core::PairRef&, const core::PairRef&,
-                         double) { ++emitted; });
-    benchmark::DoNotOptimize(emitted);
-  }
-}
-BENCHMARK(BM_PlaneSweep)
-    ->Args({113, 50})      // typical node pair, tight cutoff
-    ->Args({113, 10000});  // loose cutoff: degenerates toward Cartesian
-
-// The pre-vectorized join hot path: axis sweep plus a scalar MinDist per
-// axis-surviving candidate in the callback. Compare with BM_PlaneSweepKeyed,
-// which does the same logical work through the batch kernels.
-void BM_PlaneSweepScalarDist(benchmark::State& state) {
-  const auto left = MakeRefs(static_cast<uint64_t>(state.range(0)), 3);
-  const auto right = MakeRefs(static_cast<uint64_t>(state.range(0)), 4);
-  const double cutoff = static_cast<double>(state.range(1));
-  const geom::KeyVal cutoff_key =
-      geom::DistanceToKey(geom::DistVal(cutoff), geom::Metric::kL2);
-  const core::SweepPlan plan{0, geom::SweepDirection::kForward};
-  for (auto _ : state) {
-    uint64_t emitted = 0;
-    core::PlaneSweep(left, right, plan, &cutoff, nullptr,
-                     [&](const core::PairRef& l, const core::PairRef& r,
-                         double) {
-                       const geom::KeyVal key = geom::MinDistanceKey(
-                           l.rect, r.rect, geom::Metric::kL2);
-                       if (key <= cutoff_key) ++emitted;
-                     });
-    benchmark::DoNotOptimize(emitted);
-  }
-}
-BENCHMARK(BM_PlaneSweepScalarDist)
-    ->Args({113, 50})      // typical node pair, tight cutoff
-    ->Args({113, 10000});  // loose cutoff: degenerates toward Cartesian
-
 void BM_PlaneSweepKeyed(benchmark::State& state) {
   const auto left = MakeRefs(static_cast<uint64_t>(state.range(0)), 3);
   const auto right = MakeRefs(static_cast<uint64_t>(state.range(0)), 4);
@@ -122,6 +89,68 @@ void BM_PlaneSweepKeyed(benchmark::State& state) {
 BENCHMARK(BM_PlaneSweepKeyed)
     ->Args({113, 50})      // typical node pair, tight cutoff
     ->Args({113, 10000});  // loose cutoff: degenerates toward Cartesian
+
+// A full (113-entry) leaf page of an STR-loaded tree over uniform
+// rectangles, copied out of the buffer pool: the page a join sweeps.
+std::array<char, storage::kPageSize> FullLeafPage() {
+  storage::InMemoryDiskManager disk;
+  storage::BufferPool pool(&disk, 64);
+  auto tree = rtree::RTree::Create(&pool, rtree::RTree::Options()).value();
+  Random rng(5);
+  std::vector<rtree::Entry> objects;
+  objects.reserve(4 * rtree::kMaxEntriesPerPage);
+  for (uint32_t i = 0; i < 4 * rtree::kMaxEntriesPerPage; ++i) {
+    const double x = rng.Uniform(0, 10000);
+    const double y = rng.Uniform(0, 10000);
+    objects.emplace_back(geom::Rect(x, y, x + 10, y + 10), i);
+  }
+  AMDJ_CHECK(tree->BulkLoad(std::move(objects), /*fill=*/1.0).ok());
+  rtree::Node root;
+  AMDJ_CHECK(tree->ReadNode(tree->root(), &root).ok());
+  auto guard = pool.FetchPage(root.entries[0].id);
+  AMDJ_CHECK(guard.ok());
+  std::array<char, storage::kPageSize> page;
+  std::copy(guard->data(), guard->data() + storage::kPageSize, page.begin());
+  return page;
+}
+
+// Filling one side from the page when the table has no order for it yet:
+// the sort, the order's publication, and (by the Reset each iteration)
+// freeing it again.
+void BM_SweepSideFirstTouch(benchmark::State& state) {
+  const auto page = FullLeafPage();
+  rtree::NodeView node;
+  AMDJ_CHECK(rtree::NodeView::Parse(page.data(), &node).ok());
+  AMDJ_CHECK(node.count() == rtree::kMaxEntriesPerPage);
+  rtree::SweepOrderTable orders;
+  core::SweepSide side;
+  for (auto _ : state) {
+    orders.Reset(1);
+    side.Build(node, 0, orders, std::nullopt, 0, true);
+    benchmark::DoNotOptimize(side.key_lo.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SweepSideFirstTouch);
+
+// The same fill with the page's order cached: a validated gather.
+void BM_SweepSideCached(benchmark::State& state) {
+  const auto page = FullLeafPage();
+  rtree::NodeView node;
+  AMDJ_CHECK(rtree::NodeView::Parse(page.data(), &node).ok());
+  AMDJ_CHECK(node.count() == rtree::kMaxEntriesPerPage);
+  rtree::SweepOrderTable orders;
+  orders.Reset(1);
+  core::SweepSide side;
+  side.Build(node, 0, orders, std::nullopt, 0, true);  // publishes
+  AMDJ_CHECK(orders.order_count() == 1);
+  for (auto _ : state) {
+    side.Build(node, 0, orders, std::nullopt, 0, true);
+    benchmark::DoNotOptimize(side.key_lo.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SweepSideCached);
 
 void BM_CartesianBaseline(benchmark::State& state) {
   const auto left = MakeRefs(113, 3);

@@ -136,9 +136,6 @@ Status AmIdjCursor::Expand(PairEntry c) {
                  {{"r_level", static_cast<double>(c.r.level)},
                   {"s_level", static_cast<double>(c.s.level)},
                   {"key", c.key.raw()}});
-  AMDJ_RETURN_IF_ERROR(ChildList(r_, c.r, options_.r_window, &left_));
-  AMDJ_RETURN_IF_ERROR(ChildList(s_, c.s, options_.s_window, &right_));
-
   SweepPlan plan;
   geom::KeyVal prior{-1.0};
   if (c.WasExpanded()) {
@@ -154,6 +151,8 @@ Status AmIdjCursor::Expand(PairEntry c) {
                            geom::KeyToDistance(edmax_, options_.metric),
                            options_.sweep);
   }
+  auto arena = LoadSweepSides(r_, s_, c, plan, options_);
+  if (!arena.ok()) return arena.status();
 
   Status sweep_status;
   geom::KeyVal axis_cutoff = edmax_;
@@ -169,7 +168,7 @@ Status AmIdjCursor::Expand(PairEntry c) {
   // test never misfires.)
   spec.skip_dist_below_key = prior;
   const KeyedSweepResult sweep = PlaneSweepKeyed(
-      left_, right_, plan, spec, stats_,
+      *arena, spec, stats_,
       [&](const PairRef& lref, const PairRef& rref, geom::KeyVal dist_key) {
         if (!sweep_status.ok()) return;
         if (options_.exclude_same_id && IsSelfPair(lref, rref)) return;

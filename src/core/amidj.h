@@ -82,9 +82,6 @@ class AmIdjCursor : public DistanceJoinCursor {
   uint32_t stage_count_ = 0;
   bool primed_ = false;
   bool exhausted_ = false;
-  // Scratch buffers reused across expansions.
-  std::vector<PairRef> left_;
-  std::vector<PairRef> right_;
 };
 
 }  // namespace amdj::core

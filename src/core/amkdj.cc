@@ -55,8 +55,6 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
     tracker.OnPush(root);
   }
 
-  std::vector<PairRef> left;
-  std::vector<PairRef> right;
   PairEntry c;
 
   // ------------------------------------------------------------------
@@ -93,12 +91,12 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
                    {{"r_level", static_cast<double>(c.r.level)},
                     {"s_level", static_cast<double>(c.s.level)},
                     {"key", c.key.raw()}});
-    AMDJ_RETURN_IF_ERROR(ChildList(r, c.r, options.r_window, &left));
-    AMDJ_RETURN_IF_ERROR(ChildList(s, c.s, options.s_window, &right));
     const SweepPlan plan =
         ChooseSweepPlan(c.r.rect, c.s.rect,
                         geom::KeyToDistance(edmax, options.metric),
                         options.sweep);
+    auto arena = LoadSweepSides(r, s, c, plan, options);
+    if (!arena.ok()) return arena.status();
 
     Status sweep_status;
     geom::KeyVal axis_cutoff = edmax;  // line 22: aggressive axis pruning
@@ -108,7 +106,7 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
     spec.dist_cutoff_key = &qdmax;  // exact filter: permanent under qDmax
     const bool covered =
         PlaneSweepKeyed(
-            left, right, plan, spec, stats,
+            *arena, spec, stats,
             [&](const PairRef& lref, const PairRef& rref,
                 geom::KeyVal dist_key) {
               if (!sweep_status.ok()) return;
@@ -193,8 +191,6 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
                    {{"r_level", static_cast<double>(c.r.level)},
                     {"s_level", static_cast<double>(c.s.level)},
                     {"key", c.key.raw()}});
-    AMDJ_RETURN_IF_ERROR(ChildList(r, c.r, options.r_window, &left));
-    AMDJ_RETURN_IF_ERROR(ChildList(s, c.s, options.s_window, &right));
     // Pairs expanded in stage one re-sweep with the *same* axis and
     // direction (their children's sweep order is reproduced), skipping the
     // already-examined prefix; fresh pairs get a full B-KDJ sweep.
@@ -210,6 +206,8 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
                              geom::KeyToDistance(cutoff, options.metric),
                              options.sweep);
     }
+    auto arena = LoadSweepSides(r, s, c, plan, options);
+    if (!arena.ok()) return arena.status();
 
     Status sweep_status;
     KeyedSweepSpec spec;
@@ -221,7 +219,7 @@ StatusOr<std::vector<ResultPair>> AmKdj::Run(const rtree::RTree& r,
     // any that qualified are already in the main queue.
     spec.skip_axis_below_key = skip_below;
     PlaneSweepKeyed(
-        left, right, plan, spec, stats,
+        *arena, spec, stats,
         [&](const PairRef& lref, const PairRef& rref,
             geom::KeyVal dist_key) {
           if (!sweep_status.ok()) return;

@@ -28,8 +28,6 @@ StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
     tracker.OnPush(root);
   }
 
-  std::vector<PairRef> left;
-  std::vector<PairRef> right;
   PairEntry c;
   while (results.size() < k && !queue.Empty()) {
     AMDJ_RETURN_IF_ERROR(queue.Pop(&c));
@@ -50,11 +48,11 @@ StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
                    {{"r_level", static_cast<double>(c.r.level)},
                     {"s_level", static_cast<double>(c.s.level)},
                     {"key", c.key.raw()}});
-    AMDJ_RETURN_IF_ERROR(ChildList(r, c.r, options.r_window, &left));
-    AMDJ_RETURN_IF_ERROR(ChildList(s, c.s, options.s_window, &right));
     const SweepPlan plan = ChooseSweepPlan(
         c.r.rect, c.s.rect, geom::KeyToDistance(cutoff, options.metric),
         options.sweep);
+    auto arena = LoadSweepSides(r, s, c, plan, options);
+    if (!arena.ok()) return arena.status();
 
     Status sweep_status;
     KeyedSweepSpec spec;
@@ -64,7 +62,7 @@ StatusOr<std::vector<ResultPair>> BKdj::Run(const rtree::RTree& r,
     spec.axis_cutoff_key = &cutoff;
     spec.dist_cutoff_key = &cutoff;
     PlaneSweepKeyed(
-        left, right, plan, spec, stats,
+        *arena, spec, stats,
         [&](const PairRef& lref, const PairRef& rref,
             geom::KeyVal dist_key) {
           if (!sweep_status.ok()) return;

@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -11,6 +14,8 @@
 #include "geom/kernels.h"
 #include "geom/metric.h"
 #include "geom/sweep_geometry.h"
+#include "rtree/node.h"
+#include "rtree/sweep_order.h"
 
 namespace amdj::core {
 
@@ -22,21 +27,53 @@ namespace amdj::core {
 inline constexpr std::size_t kSweepChunk = 64;
 
 /// One side of a sweep in structure-of-arrays layout, sorted by
-/// (sweep key, id): the sweep scans `key_lo` linearly (cache-dense, no
-/// PairRef pointer chasing) and the kernels read the original coordinate
-/// arrays. Buffers only ever grow, so a reused side stops allocating after
-/// warm-up.
+/// (sweep key, id): the sweep scans `key_lo` linearly (cache-dense) and the
+/// kernels read the original coordinate arrays. Every child of one side
+/// shares a kind and level (a node's children are all objects or all nodes
+/// one level down), so a ref is rebuilt from the columns only for the pairs
+/// a sweep reports. Buffers only ever grow, so a reused side stops
+/// allocating after warm-up.
 struct SweepSide {
   std::vector<double> key_lo;  ///< Sweep-axis lo (negated when backward).
   std::vector<double> key_hi;  ///< Sweep-axis hi (negated when backward).
   std::vector<double> lo0, hi0, lo1, hi1;  ///< Original rect coordinates.
-  std::vector<const PairRef*> refs;        ///< Back-pointers, sweep order.
+  std::vector<uint32_t> ids;               ///< Ref ids, sweep order.
+  RefKind kind = RefKind::kObject;
+  uint8_t level = 0;
   std::size_t size = 0;
 
-  /// Fills the arrays from `items` for a sweep along `axis`; a backward
-  /// sweep is a forward sweep in negated coordinates. Ties on the sweep
-  /// key order by id, as the sweep always has.
+  geom::Rect RectAt(std::size_t k) const {
+    return geom::Rect(lo0[k], lo1[k], hi0[k], hi1[k]);
+  }
+  PairRef RefAt(std::size_t k) const {
+    PairRef ref;
+    ref.rect = RectAt(k);
+    ref.id = ids[k];
+    ref.kind = kind;
+    ref.level = level;
+    return ref;
+  }
+
+  /// Fills the side from `items`, which must share one kind and level, for
+  /// a sweep along `axis`; a backward sweep is a forward sweep in negated
+  /// coordinates. Ties on the sweep key order by id, as the sweep always
+  /// has.
   void Build(const std::vector<PairRef>& items, int axis, bool forward);
+
+  /// Fills the side with the children of a pinned node page, restricted to
+  /// `window`, in the same order the list overload gives. The order comes
+  /// from `orders` when it holds one for (page, orientation) that still
+  /// matches the page; otherwise the children are sorted, and on a first
+  /// use the page's order is published to `orders`.
+  void Build(const rtree::NodeView& node, storage::PageId page,
+             const rtree::SweepOrderTable& orders,
+             const std::optional<geom::Rect>& window, int axis,
+             bool forward);
+
+  /// Fills the side with the single object `ref` (none if it misses
+  /// `window`): the object side of a mixed object/node pair.
+  void BuildOne(const PairRef& ref, const std::optional<geom::Rect>& window,
+                int axis, bool forward);
 
  private:
   struct SortRec {
@@ -44,7 +81,23 @@ struct SweepSide {
     uint32_t id;
     uint32_t idx;
   };
+
+  void Resize(std::size_t n);
+  void Put(std::size_t k, double sweep_lo, const geom::Rect& rc,
+           uint32_t id, int axis, bool forward);
+  /// Sorts the page's children that meet `window` into sort_scratch_ by
+  /// (key, id); returns how many there are.
+  std::size_t SortPage(const rtree::NodeView& node,
+                       const std::optional<geom::Rect>& window, int axis,
+                       bool forward);
+  /// Fills the side in `order`; false (side unusable) if `order` does not
+  /// put the page's children in strictly ascending (key, id) order.
+  bool Gather(const rtree::NodeView& node, std::span<const uint8_t> order,
+              const std::optional<geom::Rect>& window, int axis,
+              bool forward);
+
   std::vector<SortRec> sort_scratch_;
+  std::vector<uint8_t> order_scratch_;
 };
 
 /// The pooled per-thread sweep state: both sides plus the per-chunk kernel
@@ -59,74 +112,6 @@ struct SweepArena {
 /// The calling thread's arena. Each join thread reuses its own across
 /// every sweep it runs, so steady-state sweeps allocate nothing.
 SweepArena* ThreadSweepArena();
-
-/// Bidirectional plane sweep over two child lists (the heart of Algorithm 1
-/// and its aggressive/compensating variants): repeatedly take the not-yet-
-/// processed item with the minimum sweep coordinate as the *anchor* and scan
-/// the remaining items of the *other* list in sweep order, stopping as soon
-/// as the axis separation exceeds `*cutoff` — so only O(|L| + |R|) pairs are
-/// touched for a tight cutoff instead of the full Cartesian product.
-///
-/// `*cutoff` is re-read before every comparison, so a callback that shrinks
-/// the cutoff immediately tightens the remaining sweep. Axis separations
-/// here are in plain coordinate units (not metric keys); the join hot path
-/// uses PlaneSweepKeyed below instead.
-///
-/// The callback is invoked as cb(left_ref, right_ref, axis_distance) with
-/// axis_distance non-decreasing per anchor; it computes the real distance
-/// and applies the algorithm-specific filters. Every unordered pair within
-/// the cutoff is reported exactly once.
-///
-/// Axis-distance computations are counted into `stats` (Figure 11's metric).
-///
-/// Returns true if the sweep *axis-covered* every pair: no anchor's scan was
-/// cut short by the cutoff while candidates remained.
-template <typename Callback>
-bool PlaneSweep(const std::vector<PairRef>& left,
-                const std::vector<PairRef>& right, const SweepPlan& plan,
-                const double* cutoff, JoinStats* stats, Callback&& cb) {
-  SweepArena* arena = ThreadSweepArena();
-  const bool forward = plan.dir == geom::SweepDirection::kForward;
-  arena->left.Build(left, plan.axis, forward);
-  arena->right.Build(right, plan.axis, forward);
-  const SweepSide& lhs = arena->left;
-  const SweepSide& rhs = arena->right;
-
-  std::size_t il = 0;
-  std::size_t ir = 0;
-  bool covered = true;
-  while (il < lhs.size && ir < rhs.size) {
-    const bool anchor_is_left = lhs.key_lo[il] <= rhs.key_lo[ir];
-    const SweepSide& aside = anchor_is_left ? lhs : rhs;
-    const SweepSide& other = anchor_is_left ? rhs : lhs;
-    const std::size_t ai = anchor_is_left ? il++ : ir++;
-    const double anchor_hi = aside.key_hi[ai];
-    const PairRef& aref = *aside.refs[ai];
-    std::size_t j = anchor_is_left ? ir : il;
-    bool cut = false;
-    while (j < other.size && !cut) {
-      const std::size_t n = std::min(kSweepChunk, other.size - j);
-      geom::BatchAxisDistance(other.key_lo.data() + j, anchor_hi, n,
-                              arena->axis_gap);
-      for (std::size_t t = 0; t < n; ++t) {
-        if (stats != nullptr) ++stats->axis_distance_computations;
-        const double axis_dist = arena->axis_gap[t];
-        if (axis_dist > *cutoff) {
-          covered = false;
-          cut = true;  // keys ascend: nothing further fits this anchor
-          break;
-        }
-        if (anchor_is_left) {
-          cb(aref, *other.refs[j + t], axis_dist);
-        } else {
-          cb(*other.refs[j + t], aref, axis_dist);
-        }
-      }
-      j += n;
-    }
-  }
-  return covered;
-}
 
 /// Cutoffs and skip thresholds of a keyed sweep, all in metric-key space
 /// (geom::KeyVal — squared distances under L2). Strongly typed: wiring a
@@ -167,14 +152,21 @@ struct KeyedSweepResult {
   bool dist_filtered = false;
 };
 
-/// The keyed, kernel-batched sweep the join algorithms run on: same anchor
-/// discipline as PlaneSweep, but candidate runs are evaluated through the
-/// batch kernels (axis gaps and, under L2, full MinDist keys per chunk) and
-/// the callback is invoked only for survivors, as cb(lref, rref, dist_key)
-/// with dist_key a geom::KeyVal.
+/// Bidirectional plane sweep over the two filled sides of `arena` (the
+/// heart of Algorithm 1 and its aggressive/compensating variants):
+/// repeatedly take the not-yet-processed child with the minimum sweep key
+/// as the *anchor* (left first on ties) and scan the remaining children of
+/// the *other* side in sweep order, stopping as soon as the axis separation
+/// exceeds the axis cutoff — so only O(|L| + |R|) pairs are touched for a
+/// tight cutoff instead of the full Cartesian product. Every unordered
+/// pair is examined at most once, and within one anchor's scan candidates
+/// come in ascending axis separation.
 ///
-/// Exact per-candidate decision sequence (counters identical to the
-/// pre-keyed scalar code):
+/// Candidate runs are evaluated through the batch kernels (axis gaps and,
+/// under L2, full MinDist keys per chunk); the callback is invoked only for
+/// survivors, as cb(lref, rref, dist_key) with dist_key a geom::KeyVal.
+///
+/// Exact per-candidate decision sequence:
 ///   1. count one axis-distance computation
 ///   2. axis_key > *axis_cutoff_key        -> end anchor scan (not covered)
 ///   3. axis_key <= skip_axis_below_key    -> skip (earlier stage saw it)
@@ -186,15 +178,9 @@ struct KeyedSweepResult {
 /// precomputation covers only cutoff-independent arithmetic, so batching
 /// cannot change which candidates survive.
 template <typename Callback>
-KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
-                                 const std::vector<PairRef>& right,
-                                 const SweepPlan& plan,
+KeyedSweepResult PlaneSweepKeyed(SweepArena* arena,
                                  const KeyedSweepSpec& spec, JoinStats* stats,
                                  Callback&& cb) {
-  SweepArena* arena = ThreadSweepArena();
-  const bool forward = plan.dir == geom::SweepDirection::kForward;
-  arena->left.Build(left, plan.axis, forward);
-  arena->right.Build(right, plan.axis, forward);
   const SweepSide& lhs = arena->left;
   const SweepSide& rhs = arena->right;
   const bool l2 = spec.metric == geom::Metric::kL2;
@@ -208,7 +194,7 @@ KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
     const SweepSide& other = anchor_is_left ? rhs : lhs;
     const std::size_t ai = anchor_is_left ? il++ : ir++;
     const double anchor_hi = aside.key_hi[ai];
-    const PairRef& aref = *aside.refs[ai];
+    const PairRef aref = aside.RefAt(ai);
     const geom::Rect& arect = aref.rect;
     std::size_t j = anchor_is_left ? ir : il;
     bool cut = false;
@@ -255,7 +241,7 @@ KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
         // Raw view: arena->dist_key holds the kernels' untyped output.
         const geom::KeyVal dist_key =
             l2 ? geom::KeyVal(arena->dist_key[t])
-               : geom::MinDistanceKey(arect, other.refs[j + t]->rect,
+               : geom::MinDistanceKey(arect, other.RectAt(j + t),
                                       spec.metric);
         if (dist_key <= spec.skip_dist_below_key) continue;
         if (dist_key > *spec.dist_cutoff_key) {
@@ -263,15 +249,30 @@ KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
           continue;
         }
         if (anchor_is_left) {
-          cb(aref, *other.refs[j + t], dist_key);
+          cb(aref, other.RefAt(j + t), dist_key);
         } else {
-          cb(*other.refs[j + t], aref, dist_key);
+          cb(other.RefAt(j + t), aref, dist_key);
         }
       }
       j += n;
     }
   }
   return result;
+}
+
+/// PlaneSweepKeyed over two ref lists (each of one kind and level), sorted
+/// into the calling thread's arena under `plan`.
+template <typename Callback>
+KeyedSweepResult PlaneSweepKeyed(const std::vector<PairRef>& left,
+                                 const std::vector<PairRef>& right,
+                                 const SweepPlan& plan,
+                                 const KeyedSweepSpec& spec, JoinStats* stats,
+                                 Callback&& cb) {
+  SweepArena* arena = ThreadSweepArena();
+  const bool forward = plan.dir == geom::SweepDirection::kForward;
+  arena->left.Build(left, plan.axis, forward);
+  arena->right.Build(right, plan.axis, forward);
+  return PlaneSweepKeyed(arena, spec, stats, std::forward<Callback>(cb));
 }
 
 }  // namespace amdj::core

@@ -31,25 +31,28 @@ void Node::Serialize(char* page) const {
   }
 }
 
-Status Node::Deserialize(const char* page, Node* out) {
+Status NodeView::Parse(const char* page, NodeView* out) {
+  uint16_t level = 0;
   uint16_t count = 0;
-  std::memcpy(&out->level, page, sizeof(out->level));
+  std::memcpy(&level, page, sizeof(level));
   std::memcpy(&count, page + 2, sizeof(count));
   if (count > kMaxEntriesPerPage) {
     return Status::Corruption("node entry count " + std::to_string(count) +
                               " exceeds page capacity");
   }
-  out->entries.clear();
-  out->entries.resize(count);
-  const char* p = page + kNodeHeaderBytes;
-  for (uint16_t i = 0; i < count; ++i) {
-    Entry& e = out->entries[i];
-    std::memcpy(&e.rect.lo.x, p, sizeof(double));
-    std::memcpy(&e.rect.lo.y, p + 8, sizeof(double));
-    std::memcpy(&e.rect.hi.x, p + 16, sizeof(double));
-    std::memcpy(&e.rect.hi.y, p + 24, sizeof(double));
-    std::memcpy(&e.id, p + 32, sizeof(uint32_t));
-    p += kEntryBytes;
+  out->page_ = page;
+  out->level_ = level;
+  out->count_ = count;
+  return Status::OK();
+}
+
+Status Node::Deserialize(const char* page, Node* out) {
+  NodeView view;
+  AMDJ_RETURN_IF_ERROR(NodeView::Parse(page, &view));
+  out->level = view.level();
+  out->entries.resize(view.count());
+  for (uint16_t i = 0; i < view.count(); ++i) {
+    out->entries[i] = Entry(view.rect(i), view.id(i));
   }
   return Status::OK();
 }

@@ -23,6 +23,22 @@ double Enlargement(const Rect& rect, const Rect& add) {
 
 }  // namespace
 
+/// Drops the sweep-order table when a mutator returns, on every path: the
+/// mutation may have rewritten any node page and allocated pages the table
+/// must now cover.
+class RTree::SweepOrderReset {
+ public:
+  explicit SweepOrderReset(RTree* tree) : tree_(tree) {}
+  ~SweepOrderReset() {
+    tree_->sweep_orders_.Reset(tree_->pool_->disk()->PageCount());
+  }
+  SweepOrderReset(const SweepOrderReset&) = delete;
+  SweepOrderReset& operator=(const SweepOrderReset&) = delete;
+
+ private:
+  RTree* tree_;
+};
+
 StatusOr<std::unique_ptr<RTree>> RTree::Create(storage::BufferPool* pool,
                                                const Options& options) {
   Options opts = options;
@@ -41,6 +57,7 @@ StatusOr<std::unique_ptr<RTree>> RTree::Create(storage::BufferPool* pool,
     return Status::InvalidArgument("reinsert_fraction must be in (0, 0.5)");
   }
   auto tree = std::unique_ptr<RTree>(new RTree(pool, opts));
+  const SweepOrderReset reset(tree.get());
   Node root;
   root.level = 0;
   auto root_id = tree->AllocNode(root);
@@ -420,6 +437,7 @@ Status RTree::Insert(const Rect& rect, uint32_t id) {
   if (!rect.IsValid()) {
     return Status::InvalidArgument("cannot insert an invalid rectangle");
   }
+  const SweepOrderReset reset(this);
   AMDJ_RETURN_IF_ERROR(InsertEntryAtLevel(Entry(rect, id), 0));
   ++size_;
   bounds_.Extend(rect);
@@ -496,6 +514,7 @@ Status RTree::DeleteRecurse(PageId page_id, uint16_t node_level,
 }
 
 Status RTree::Delete(const Rect& rect, uint32_t id, bool* found) {
+  const SweepOrderReset reset(this);
   *found = false;
   bool underflow = false;
   Rect mbr;
@@ -536,11 +555,13 @@ Status RTree::Delete(const Rect& rect, uint32_t id, bool* found) {
 }
 
 Status RTree::BulkLoad(std::vector<Entry> objects, double fill) {
+  const SweepOrderReset reset(this);
   StrBulkLoader loader(this);
   return loader.Load(std::move(objects), fill);
 }
 
 Status RTree::BulkLoadHilbert(std::vector<Entry> objects, double fill) {
+  const SweepOrderReset reset(this);
   HilbertBulkLoader loader(this);
   return loader.Load(std::move(objects), fill);
 }

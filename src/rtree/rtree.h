@@ -10,6 +10,7 @@
 #include "geom/rect.h"
 #include "rtree/entry.h"
 #include "rtree/node.h"
+#include "rtree/sweep_order.h"
 #include "storage/buffer_pool.h"
 
 namespace amdj::rtree {
@@ -18,7 +19,8 @@ namespace amdj::rtree {
 /// overlap-minimizing leaf selection, margin-driven split axis selection,
 /// and forced reinsertion. Nodes live on 4 KB pages behind a BufferPool.
 ///
-/// Not thread-safe; the paper's workloads are single-threaded.
+/// Concurrent read-only use (joins, queries) is safe; the mutators (Insert,
+/// Delete, BulkLoad*) need exclusive access.
 class RTree {
  public:
   struct Options {
@@ -120,6 +122,10 @@ class RTree {
   storage::BufferPool* buffer_pool() const { return pool_; }
   const Options& options() const { return options_; }
 
+  /// The node pages' cached plane-sweep orders (see SweepOrderTable).
+  /// Joins fill it on first use; every mutator drops it.
+  const SweepOrderTable& sweep_orders() const { return sweep_orders_; }
+
   /// Exhaustively checks structural invariants (entry counts, level
   /// monotonicity, parent-MBR containment, object count). For tests.
   Status Validate() const;
@@ -127,6 +133,9 @@ class RTree {
  private:
   RTree(storage::BufferPool* pool, const Options& options)
       : pool_(pool), options_(options) {}
+
+  /// Drops the sweep-order table when a mutator returns (rtree.cc).
+  class SweepOrderReset;
 
   Status WriteNode(storage::PageId page_id, const Node& node) const;
   StatusOr<storage::PageId> AllocNode(const Node& node) const;
@@ -191,6 +200,7 @@ class RTree {
   uint64_t size_ = 0;
   uint64_t node_count_ = 1;
   geom::Rect bounds_ = geom::Rect::Empty();
+  SweepOrderTable sweep_orders_;
 
   friend class StrBulkLoader;
   friend class HilbertBulkLoader;

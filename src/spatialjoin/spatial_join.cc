@@ -8,7 +8,6 @@
 
 namespace amdj::spatialjoin {
 
-using core::ChildList;
 using core::PairEntry;
 using core::PairRef;
 using core::ResultPair;
@@ -34,8 +33,6 @@ Status SpatialJoin::Within(
     stack.push_back(root);
   }
 
-  std::vector<PairRef> left;
-  std::vector<PairRef> right;
   while (!stack.empty()) {
     const PairEntry c = stack.back();
     stack.pop_back();
@@ -49,18 +46,18 @@ Status SpatialJoin::Within(
       continue;
     }
     ++stats->node_expansions;
-    AMDJ_RETURN_IF_ERROR(ChildList(r, c.r, options.r_window, &left));
-    AMDJ_RETURN_IF_ERROR(ChildList(s, c.s, options.s_window, &right));
     const core::SweepPlan plan =
         core::ChooseSweepPlan(c.r.rect, c.s.rect, dmax,
                               options.sweep);
+    auto arena = core::LoadSweepSides(r, s, c, plan, options);
+    if (!arena.ok()) return arena.status();
     Status sweep_status;
     core::KeyedSweepSpec spec;
     spec.metric = options.metric;
     spec.axis_cutoff_key = &dmax_key;
     spec.dist_cutoff_key = &dmax_key;
     core::PlaneSweepKeyed(
-        left, right, plan, spec, stats,
+        *arena, spec, stats,
         [&](const PairRef& lref, const PairRef& rref,
             geom::KeyVal dist_key) {
           if (!sweep_status.ok()) return;

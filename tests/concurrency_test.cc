@@ -7,6 +7,7 @@
 // join_service_test.cc for the reconciliation against pool totals).
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -191,6 +192,82 @@ TEST(ConcurrencyTest, ParallelKnnAndCursors) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The sweep-order table under concurrency: threads sweeping trees that were
+// never joined race to build and publish the same (page, orientation)
+// orders. Every result must equal its serial reference, computed on a
+// separate, identically built pair of trees so the concurrent run starts
+// with an empty table.
+TEST(ConcurrencyTest, ColdSweepOrderTableMatchesSerialReferences) {
+  const workload::Dataset r_data =
+      workload::TigerStreets({.street_segments = 4000, .seed = 95});
+  const workload::Dataset s_data =
+      workload::TigerHydro({.hydro_objects = 1500, .seed = 95});
+  test::JoinFixture serial = test::MakeFixture(r_data, s_data, 32, 64);
+  test::JoinFixture f = test::MakeFixture(r_data, s_data, 32, 64);
+
+  struct Task {
+    bool idj;  // AM-IDJ cursor drained to k pairs; otherwise a KDJ run
+    core::KdjAlgorithm algorithm;
+    uint64_t k;
+    std::vector<core::ResultPair> expected;
+    std::vector<core::ResultPair> actual;
+    bool ok = false;
+  };
+  std::vector<Task> tasks = {
+      {false, core::KdjAlgorithm::kAmKdj, 2000, {}, {}},
+      {false, core::KdjAlgorithm::kBKdj, 1500, {}, {}},
+      {false, core::KdjAlgorithm::kSjSort, 1000, {}, {}},
+      {true, core::KdjAlgorithm::kAmKdj, 1200, {}, {}},
+      {false, core::KdjAlgorithm::kAmKdj, 300, {}, {}},
+      {false, core::KdjAlgorithm::kBKdj, 2500, {}, {}},
+      {false, core::KdjAlgorithm::kSjSort, 200, {}, {}},
+      {true, core::KdjAlgorithm::kAmKdj, 400, {}, {}},
+  };
+  const auto run = [](const test::JoinFixture& fx, const Task& t,
+                      std::vector<core::ResultPair>* out) {
+    if (!t.idj) {
+      auto result = core::RunKDistanceJoin(*fx.r, *fx.s, t.k, t.algorithm,
+                                           core::JoinOptions{}, nullptr);
+      if (!result.ok()) return false;
+      *out = std::move(*result);
+      return true;
+    }
+    auto cursor = core::OpenIncrementalJoin(
+        *fx.r, *fx.s, core::IdjAlgorithm::kAmIdj, core::JoinOptions{},
+        nullptr);
+    if (!cursor.ok()) return false;
+    core::ResultPair p;
+    bool done = false;
+    while (out->size() < t.k) {
+      if (!(*cursor)->Next(&p, &done).ok()) return false;
+      if (done) break;
+      out->push_back(p);
+    }
+    return true;
+  };
+  for (Task& t : tasks) ASSERT_TRUE(run(serial, t, &t.expected));
+  ASSERT_EQ(f.r->sweep_orders().order_count(), 0u);
+  ASSERT_EQ(f.s->sweep_orders().order_count(), 0u);
+
+  std::latch start(static_cast<std::ptrdiff_t>(tasks.size()));
+  std::vector<std::thread> threads;
+  for (Task& t : tasks) {
+    threads.emplace_back([&f, &t, &run, &start] {
+      start.arrive_and_wait();
+      t.ok = run(f, t, &t.actual);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const Task& t : tasks) {
+    EXPECT_TRUE(t.ok);
+    EXPECT_EQ(t.actual, t.expected)
+        << (t.idj ? "AM-IDJ" : core::ToString(t.algorithm)) << " k=" << t.k;
+  }
+  EXPECT_GT(f.r->sweep_orders().order_count(), 0u);
+  EXPECT_EQ(f.r->sweep_orders().order_count(),
+            serial.r->sweep_orders().order_count());
 }
 
 // The buffer pool under concurrent node fetches: the service's queries

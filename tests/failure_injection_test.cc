@@ -3,10 +3,12 @@
 // must recover once the fault clears.
 
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/distance_join.h"
+#include "core/expansion.h"
 #include "queue/segment_file.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -47,6 +49,29 @@ FaultyFixture MakeFaultyFixture() {
       f.s->BulkLoad(workload::UniformPoints(300, 82, uni).ToEntries()).ok());
   EXPECT_TRUE(f.pool->FlushAll().ok());
   return f;
+}
+
+// Overwrites the level of one leaf page through the buffer pool, as a
+// torn or misdirected write would: the page then claims to hold nodes.
+void CorruptOneLeafLevel(const rtree::RTree& tree) {
+  PairRef ref = RootRef(tree);
+  while (ref.level > 0) {
+    std::vector<PairRef> children;
+    ASSERT_TRUE(FetchChildren(tree, ref, &children).ok());
+    ref = children.back();
+  }
+  auto guard = tree.buffer_pool()->FetchPage(ref.id);
+  ASSERT_TRUE(guard.ok());
+  const uint16_t bad_level = 1;
+  std::memcpy(guard->MutableData(), &bad_level, sizeof(bad_level));
+}
+
+/// Small trees whose joins expand every leaf at k = |R| x |S|.
+JoinFixture SmallFixture() {
+  const geom::Rect uni(0, 0, 1000, 1000);
+  return test::MakeFixture(workload::UniformPoints(90, 84, uni),
+                           workload::UniformPoints(70, 85, uni),
+                           /*fanout=*/8, /*buffer_pages=*/16);
 }
 
 class KdjFaultTest : public ::testing::TestWithParam<KdjAlgorithm> {};
@@ -91,6 +116,17 @@ TEST_P(KdjFaultTest, QueueSpillFailureSurfacesAsIOError) {
   }
 }
 
+TEST_P(KdjFaultTest, LeafPageAtWrongLevelIsCorruption) {
+  JoinFixture f = SmallFixture();
+  CorruptOneLeafLevel(*f.r);
+  auto result = RunKDistanceJoin(*f.r, *f.s, 90 * 70, GetParam(),
+                                 JoinOptions{}, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().ToString().find("node page"), std::string::npos)
+      << result.status().ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKdj, KdjFaultTest,
                          ::testing::Values(KdjAlgorithm::kHsKdj,
                                            KdjAlgorithm::kBKdj,
@@ -124,6 +160,23 @@ TEST(IdjFaultTest, CursorSurfacesAndSurvivesMidStreamFailure) {
     status = (*cursor)->Next(&pair, &done);
   }
   EXPECT_EQ(status.code(), StatusCode::kIOError);
+}
+
+TEST(IdjFaultTest, LeafPageAtWrongLevelIsCorruption) {
+  for (const IdjAlgorithm algorithm :
+       {IdjAlgorithm::kHsIdj, IdjAlgorithm::kAmIdj}) {
+    JoinFixture f = SmallFixture();
+    CorruptOneLeafLevel(*f.s);
+    auto cursor =
+        OpenIncrementalJoin(*f.r, *f.s, algorithm, JoinOptions{}, nullptr);
+    ASSERT_TRUE(cursor.ok());
+    ResultPair pair;
+    bool done = false;
+    Status status = Status::OK();
+    while (status.ok() && !done) status = (*cursor)->Next(&pair, &done);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << ToString(algorithm) << ": " << status.ToString();
+  }
 }
 
 // Regression: SegmentFile::Append allocated a fresh page, and when the

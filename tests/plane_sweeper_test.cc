@@ -2,20 +2,26 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/expansion.h"
+#include "test_util.h"
 
 namespace amdj::core {
 namespace {
 
+using geom::KeyVal;
+using geom::Metric;
 using geom::Rect;
 using geom::SweepDirection;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+const KeyVal kNoFilter{kInf};
 
 std::vector<PairRef> MakeRefs(const std::vector<Rect>& rects,
                               uint32_t id_base) {
@@ -30,62 +36,83 @@ std::vector<PairRef> MakeRefs(const std::vector<Rect>& rects,
   return refs;
 }
 
-/// Reference: all pairs with axis separation <= cutoff.
+KeyVal AxisKey(const PairRef& l, const PairRef& r, int axis, Metric metric) {
+  return geom::AxisGapToKey(geom::AxisDistance(l.rect, r.rect, axis), metric);
+}
+
+/// Reference: all pairs whose axis separation key is <= `axis_cut`.
 std::set<std::pair<uint32_t, uint32_t>> BruteWithin(
     const std::vector<PairRef>& left, const std::vector<PairRef>& right,
-    int axis, double cutoff) {
+    int axis, KeyVal axis_cut, Metric metric = Metric::kL2) {
   std::set<std::pair<uint32_t, uint32_t>> out;
   for (const auto& l : left) {
     for (const auto& r : right) {
-      if (geom::AxisDistance(l.rect, r.rect, axis) <= cutoff) {
-        out.insert({l.id, r.id});
-      }
+      if (AxisKey(l, r, axis, metric) <= axis_cut) out.insert({l.id, r.id});
     }
   }
   return out;
 }
 
+KeyVal Key(double distance, Metric metric = Metric::kL2) {
+  return geom::DistanceToKey(geom::DistVal(distance), metric);
+}
+
+/// The pairs a keyed sweep reports with its axis cutoff at `axis_cut` and
+/// no distance filter, checking each report against the geometry.
 std::set<std::pair<uint32_t, uint32_t>> SweepPairs(
     const std::vector<PairRef>& left, const std::vector<PairRef>& right,
-    const SweepPlan& plan, double cutoff, bool* covered = nullptr,
-    JoinStats* stats = nullptr) {
+    const SweepPlan& plan, KeyVal axis_cut, bool* covered = nullptr,
+    JoinStats* stats = nullptr, Metric metric = Metric::kL2) {
   std::set<std::pair<uint32_t, uint32_t>> out;
-  const bool c = PlaneSweep(
-      left, right, plan, &cutoff, stats,
-      [&](const PairRef& l, const PairRef& r, double axis_dist) {
-        EXPECT_LE(axis_dist, cutoff);
-        EXPECT_NEAR(axis_dist, geom::AxisDistance(l.rect, r.rect, plan.axis),
-                    1e-12);
+  KeyedSweepSpec spec;
+  spec.metric = metric;
+  spec.axis_cutoff_key = &axis_cut;
+  spec.dist_cutoff_key = &kNoFilter;
+  const KeyedSweepResult result = PlaneSweepKeyed(
+      left, right, plan, spec, stats,
+      [&](const PairRef& l, const PairRef& r, KeyVal dist_key) {
+        EXPECT_LE(AxisKey(l, r, plan.axis, metric), axis_cut);
+        EXPECT_EQ(dist_key.raw(),
+                  geom::MinDistanceKey(l.rect, r.rect, metric).raw());
         const bool inserted = out.insert({l.id, r.id}).second;
         EXPECT_TRUE(inserted) << "pair enumerated twice";
       });
-  if (covered != nullptr) *covered = c;
+  if (covered != nullptr) *covered = result.axis_covered;
   return out;
+}
+
+std::vector<Rect> RandomRects(Random& rng, int n, double extent,
+                              double max_side) {
+  std::vector<Rect> rects;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.Uniform(0, extent);
+    const double y = rng.Uniform(0, extent);
+    rects.push_back(Rect(x, y, x + rng.Uniform(0, max_side),
+                         y + rng.Uniform(0, max_side)));
+  }
+  return rects;
 }
 
 TEST(PlaneSweeperTest, EnumeratesExactlyPairsWithinCutoff) {
   Random rng(1);
   for (int trial = 0; trial < 50; ++trial) {
-    std::vector<Rect> l_rects, r_rects;
-    const int nl = 1 + rng.UniformInt(uint64_t{30});
-    const int nr = 1 + rng.UniformInt(uint64_t{30});
-    auto rect = [&] {
-      const double x = rng.Uniform(0, 100);
-      const double y = rng.Uniform(0, 100);
-      return Rect(x, y, x + rng.Uniform(0, 10), y + rng.Uniform(0, 10));
-    };
-    for (int i = 0; i < nl; ++i) l_rects.push_back(rect());
-    for (int i = 0; i < nr; ++i) r_rects.push_back(rect());
-    const auto left = MakeRefs(l_rects, 0);
-    const auto right = MakeRefs(r_rects, 1000);
+    const int nl = 1 + static_cast<int>(rng.UniformInt(uint64_t{30}));
+    const int nr = 1 + static_cast<int>(rng.UniformInt(uint64_t{30}));
+    const auto left = MakeRefs(RandomRects(rng, nl, 100, 10), 0);
+    const auto right = MakeRefs(RandomRects(rng, nr, 100, 10), 1000);
     const double cutoff = rng.Uniform(0, 30);
-    for (int axis = 0; axis < 2; ++axis) {
-      for (const auto dir :
-           {SweepDirection::kForward, SweepDirection::kBackward}) {
-        const SweepPlan plan{axis, dir};
-        EXPECT_EQ(SweepPairs(left, right, plan, cutoff),
-                  BruteWithin(left, right, axis, cutoff))
-            << "axis=" << axis << " dir=" << static_cast<int>(dir);
+    for (const Metric metric : {Metric::kL2, Metric::kL1, Metric::kLInf}) {
+      for (int axis = 0; axis < 2; ++axis) {
+        for (const auto dir :
+             {SweepDirection::kForward, SweepDirection::kBackward}) {
+          const SweepPlan plan{axis, dir};
+          const KeyVal cut = Key(cutoff, metric);
+          EXPECT_EQ(
+              SweepPairs(left, right, plan, cut, nullptr, nullptr, metric),
+              BruteWithin(left, right, axis, cut, metric))
+              << "axis=" << axis << " dir=" << static_cast<int>(dir)
+              << " metric=" << static_cast<int>(metric);
+        }
       }
     }
   }
@@ -96,8 +123,8 @@ TEST(PlaneSweeperTest, InfiniteCutoffIsCartesianAndCovered) {
   const auto right =
       MakeRefs({Rect(2, 2, 3, 3), Rect(9, 0, 10, 1), Rect(4, 8, 5, 9)}, 100);
   bool covered = false;
-  const auto pairs =
-      SweepPairs(left, right, {0, SweepDirection::kForward}, kInf, &covered);
+  const auto pairs = SweepPairs(left, right, {0, SweepDirection::kForward},
+                                Key(kInf), &covered);
   EXPECT_EQ(pairs.size(), 6u);
   EXPECT_TRUE(covered);
 }
@@ -106,8 +133,8 @@ TEST(PlaneSweeperTest, CoveredFlagFalseWhenCutoffPrunes) {
   const auto left = MakeRefs({Rect(0, 0, 1, 1)}, 0);
   const auto right = MakeRefs({Rect(100, 0, 101, 1)}, 100);
   bool covered = true;
-  const auto pairs =
-      SweepPairs(left, right, {0, SweepDirection::kForward}, 5.0, &covered);
+  const auto pairs = SweepPairs(left, right, {0, SweepDirection::kForward},
+                                Key(5.0), &covered);
   EXPECT_TRUE(pairs.empty());
   EXPECT_FALSE(covered);
 }
@@ -115,16 +142,14 @@ TEST(PlaneSweeperTest, CoveredFlagFalseWhenCutoffPrunes) {
 TEST(PlaneSweeperTest, EmptyListsAreHandled) {
   const auto some = MakeRefs({Rect(0, 0, 1, 1)}, 0);
   const std::vector<PairRef> none;
+  const SweepPlan plan{0, SweepDirection::kForward};
   bool covered = false;
-  EXPECT_TRUE(
-      SweepPairs(none, some, {0, SweepDirection::kForward}, kInf, &covered)
-          .empty());
-  EXPECT_TRUE(
-      SweepPairs(some, none, {0, SweepDirection::kForward}, kInf, &covered)
-          .empty());
-  EXPECT_TRUE(
-      SweepPairs(none, none, {0, SweepDirection::kForward}, kInf, &covered)
-          .empty());
+  EXPECT_TRUE(SweepPairs(none, some, plan, Key(kInf), &covered).empty());
+  EXPECT_TRUE(covered);
+  EXPECT_TRUE(SweepPairs(some, none, plan, Key(kInf), &covered).empty());
+  EXPECT_TRUE(covered);
+  EXPECT_TRUE(SweepPairs(none, none, plan, Key(kInf), &covered).empty());
+  EXPECT_TRUE(covered);
 }
 
 TEST(PlaneSweeperTest, DynamicCutoffShrinkTightensRemainingSweep) {
@@ -135,13 +160,16 @@ TEST(PlaneSweeperTest, DynamicCutoffShrinkTightensRemainingSweep) {
       {Rect(0, 0, 0, 0), Rect(10, 0, 10, 0), Rect(20, 0, 20, 0),
        Rect(30, 0, 30, 0), Rect(40, 0, 40, 0)},
       100);
-  double cutoff = 100.0;
+  KeyVal cutoff = Key(100.0);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &cutoff;
   std::vector<uint32_t> seen;
-  PlaneSweep(left, right, {0, SweepDirection::kForward}, &cutoff, nullptr,
-             [&](const PairRef& /*l*/, const PairRef& r, double) {
-               seen.push_back(r.id);
-               cutoff = 15.0;
-             });
+  PlaneSweepKeyed(left, right, {0, SweepDirection::kForward}, spec, nullptr,
+                  [&](const PairRef& /*l*/, const PairRef& r, KeyVal) {
+                    seen.push_back(r.id);
+                    cutoff = Key(15.0);
+                  });
   // 0 and 10 qualify; 20, 30, 40 are cut off after the shrink.
   EXPECT_EQ(seen, (std::vector<uint32_t>{100, 101}));
 }
@@ -155,23 +183,26 @@ TEST(PlaneSweeperTest, NegativeCutoffAbortsSweepImmediately) {
       {Rect(0, 0, 0, 0), Rect(1, 0, 1, 0), Rect(2, 0, 2, 0),
        Rect(3, 0, 3, 0)},
       100);
-  double cutoff = 100.0;
+  KeyVal cutoff = Key(100.0);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &kNoFilter;
   std::vector<uint32_t> seen;
-  const bool covered = PlaneSweep(
-      left, right, {0, SweepDirection::kForward}, &cutoff, nullptr,
-      [&](const PairRef& /*l*/, const PairRef& r, double) {
+  const KeyedSweepResult result = PlaneSweepKeyed(
+      left, right, {0, SweepDirection::kForward}, spec, nullptr,
+      [&](const PairRef& /*l*/, const PairRef& r, KeyVal) {
         seen.push_back(r.id);
-        cutoff = -1.0;  // abort
+        cutoff = KeyVal(-1.0);  // abort
       });
   EXPECT_EQ(seen, (std::vector<uint32_t>{100}));
-  EXPECT_FALSE(covered);
+  EXPECT_FALSE(result.axis_covered);
 }
 
 TEST(PlaneSweeperTest, MidSweepShrinkMatchesBruteForceAtFinalCutoff) {
   // Shrinking the cutoff mid-sweep may drop pairs the *initial* cutoff
-  // admitted, but everything within the *final* cutoff that sorts before
-  // the shrink point must still be enumerated. With the shrink applied
-  // before any pair is seen, the sweep equals a fixed-cutoff sweep.
+  // admitted, but everything within the *final* cutoff must still be
+  // enumerated. With the shrink applied before any pair is seen, the
+  // filtered callback set equals a fixed-cutoff sweep.
   Random rng(23);
   std::vector<Rect> l_rects, r_rects;
   for (int i = 0; i < 25; ++i) {
@@ -182,25 +213,29 @@ TEST(PlaneSweeperTest, MidSweepShrinkMatchesBruteForceAtFinalCutoff) {
   }
   const auto left = MakeRefs(l_rects, 0);
   const auto right = MakeRefs(r_rects, 1000);
-  const double final_cutoff = 8.0;
-  double cutoff = 50.0;
+  const KeyVal final_cutoff = Key(8.0);
+  KeyVal cutoff = Key(50.0);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &kNoFilter;
   std::set<std::pair<uint32_t, uint32_t>> seen;
   bool first = true;
-  PlaneSweep(left, right, {0, SweepDirection::kForward}, &cutoff, nullptr,
-             [&](const PairRef& l, const PairRef& r, double axis_dist) {
-               if (first) {
-                 cutoff = final_cutoff;  // shrink before admitting anything
-                 first = false;
-               }
-               if (axis_dist <= final_cutoff) seen.insert({l.id, r.id});
-             });
-  // The cutoff never dropped below final_cutoff, so every pair within it
-  // must have been enumerated: the filtered callback set is exactly the
-  // fixed-cutoff brute force result.
+  PlaneSweepKeyed(left, right, {0, SweepDirection::kForward}, spec, nullptr,
+                  [&](const PairRef& l, const PairRef& r, KeyVal) {
+                    if (first) {
+                      cutoff = final_cutoff;  // shrink before admitting
+                      first = false;
+                    }
+                    if (AxisKey(l, r, 0, Metric::kL2) <= final_cutoff) {
+                      seen.insert({l.id, r.id});
+                    }
+                  });
   EXPECT_EQ(seen, BruteWithin(left, right, 0, final_cutoff));
 }
 
 TEST(PlaneSweeperTest, AxisDistancePerAnchorIsNonDecreasing) {
+  // The keyed callback carries the distance key, not the axis separation;
+  // the per-anchor order is recomputed from the reported refs.
   Random rng(9);
   std::vector<Rect> l_rects, r_rects;
   for (int i = 0; i < 40; ++i) {
@@ -211,22 +246,26 @@ TEST(PlaneSweeperTest, AxisDistancePerAnchorIsNonDecreasing) {
   }
   const auto left = MakeRefs(l_rects, 0);
   const auto right = MakeRefs(r_rects, 1000);
-  // Track per-anchor monotonicity via the callback order: whenever the
-  // anchor changes, the distance may reset; within an anchor it ascends.
-  double cutoff = 30.0;
-  uint32_t last_anchor = UINT32_MAX;
+  const KeyVal cutoff = Key(30.0);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &kNoFilter;
+  // Whenever the anchor changes, the separation may reset; within an
+  // anchor's scan it ascends. An anchor is the side that stayed fixed
+  // between consecutive reports.
+  std::pair<uint32_t, uint32_t> last{UINT32_MAX, UINT32_MAX};
   double last_dist = 0.0;
   int violations = 0;
-  PlaneSweep(left, right, {0, SweepDirection::kForward}, &cutoff, nullptr,
-             [&](const PairRef& l, const PairRef& r, double axis_dist) {
-               // One of l/r is the anchor; approximate by tracking l.
-               const uint32_t anchor = std::min(l.id, r.id);
-               if (anchor == last_anchor && axis_dist < last_dist - 1e-12) {
-                 ++violations;
-               }
-               last_anchor = anchor;
-               last_dist = axis_dist;
-             });
+  PlaneSweepKeyed(left, right, {0, SweepDirection::kForward}, spec, nullptr,
+                  [&](const PairRef& l, const PairRef& r, KeyVal) {
+                    const double axis_dist =
+                        geom::AxisDistance(l.rect, r.rect, 0);
+                    const bool same_anchor =
+                        l.id == last.first || r.id == last.second;
+                    if (same_anchor && axis_dist < last_dist) ++violations;
+                    last = {l.id, r.id};
+                    last_dist = axis_dist;
+                  });
   EXPECT_EQ(violations, 0);
 }
 
@@ -234,10 +273,10 @@ TEST(PlaneSweeperTest, CountsAxisComputations) {
   const auto left = MakeRefs({Rect(0, 0, 1, 1), Rect(2, 0, 3, 1)}, 0);
   const auto right = MakeRefs({Rect(1, 0, 2, 1), Rect(4, 0, 5, 1)}, 100);
   JoinStats stats;
-  double cutoff = kInf;
-  PlaneSweep(left, right, {0, SweepDirection::kForward}, &cutoff, &stats,
-             [](const PairRef&, const PairRef&, double) {});
+  SweepPairs(left, right, {0, SweepDirection::kForward}, Key(kInf), nullptr,
+             &stats);
   EXPECT_EQ(stats.axis_distance_computations, 4u);
+  EXPECT_EQ(stats.real_distance_computations, 4u);
 }
 
 TEST(PlaneSweeperTest, SingletonVsListWorks) {
@@ -247,8 +286,135 @@ TEST(PlaneSweeperTest, SingletonVsListWorks) {
   for (int i = 0; i < 20; ++i) rects.push_back(Rect(i, 5, i + 0.5, 6));
   const auto right = MakeRefs(rects, 100);
   const auto pairs =
-      SweepPairs(left, right, {0, SweepDirection::kForward}, 3.0);
-  EXPECT_EQ(pairs, BruteWithin(left, right, 0, 3.0));
+      SweepPairs(left, right, {0, SweepDirection::kForward}, Key(3.0));
+  EXPECT_EQ(pairs, BruteWithin(left, right, 0, Key(3.0)));
+}
+
+TEST(PlaneSweeperTest, BackwardSweepVisitsAnchorsFromTheHighEnd) {
+  // Points at x = 0, 10, 20 on the left and 5, 15 on the right: a backward
+  // sweep takes anchors in descending x (the left point at 20 first) and
+  // scans each anchor's candidates in descending x too.
+  const auto left =
+      MakeRefs({Rect(0, 0, 0, 0), Rect(10, 0, 10, 0), Rect(20, 0, 20, 0)}, 0);
+  const auto right = MakeRefs({Rect(5, 0, 5, 0), Rect(15, 0, 15, 0)}, 100);
+  const KeyVal cutoff = Key(kInf);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &cutoff;
+  std::vector<std::pair<uint32_t, uint32_t>> seen;
+  PlaneSweepKeyed(left, right, {0, SweepDirection::kBackward}, spec, nullptr,
+                  [&](const PairRef& l, const PairRef& r, KeyVal) {
+                    seen.push_back({l.id, r.id});
+                  });
+  const std::vector<std::pair<uint32_t, uint32_t>> expected = {
+      {2, 101}, {2, 100},  // anchor left x=20: right 15, then 5
+      {1, 101},            // anchor right x=15: left 10 (20 is done)
+      {0, 101},            //   then left 0
+      {1, 100},            // anchor left x=10: right 5
+      {0, 100}};           // anchor right x=5: left 0
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(PlaneSweeperTest, SkipAxisBelowKeySkipsTheExaminedPrefix) {
+  // Anchor at x = 0 against points at x = 1..6: with the earlier stage's
+  // axis cutoff at 3, candidates 1..3 are counted as axis computations but
+  // skipped before their distance; 4..6 are examined and reported.
+  const auto left = MakeRefs({Rect(0, 0, 0, 0)}, 0);
+  std::vector<Rect> rects;
+  for (int x = 1; x <= 6; ++x) rects.push_back(Rect(x, 0, x, 0));
+  const auto right = MakeRefs(rects, 100);
+  const KeyVal cutoff = Key(kInf);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &cutoff;
+  spec.dist_cutoff_key = &cutoff;
+  spec.skip_axis_below_key = Key(3.0);
+  JoinStats stats;
+  std::vector<uint32_t> seen;
+  PlaneSweepKeyed(left, right, {0, SweepDirection::kForward}, spec, &stats,
+                  [&](const PairRef&, const PairRef& r, KeyVal) {
+                    seen.push_back(r.id);
+                  });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{103, 104, 105}));
+  EXPECT_EQ(stats.axis_distance_computations, 6u);
+  EXPECT_EQ(stats.real_distance_computations, 3u);
+}
+
+TEST(PlaneSweeperTest, SkipDistBelowKeySkipsReportedPairs) {
+  // The axis separation is 0 for every candidate (they overlap in x), so
+  // only the distance skip applies: pairs at distance <= 2 were reported
+  // by an earlier stage and are computed but not reported again; pairs
+  // above the distance cutoff are filtered.
+  const auto left = MakeRefs({Rect(0, 0, 10, 0)}, 0);
+  std::vector<Rect> rects;
+  for (int y = 1; y <= 5; ++y) rects.push_back(Rect(0, y, 10, y));
+  const auto right = MakeRefs(rects, 100);
+  const KeyVal axis_cut = Key(kInf);
+  const KeyVal dist_cut = Key(4.0);
+  KeyedSweepSpec spec;
+  spec.axis_cutoff_key = &axis_cut;
+  spec.dist_cutoff_key = &dist_cut;
+  spec.skip_dist_below_key = Key(2.0);
+  JoinStats stats;
+  std::vector<uint32_t> seen;
+  const KeyedSweepResult result = PlaneSweepKeyed(
+      left, right, {0, SweepDirection::kForward}, spec, &stats,
+      [&](const PairRef&, const PairRef& r, KeyVal) {
+        seen.push_back(r.id);
+      });
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<uint32_t>{102, 103}));  // y = 3, 4
+  EXPECT_EQ(stats.axis_distance_computations, 5u);
+  EXPECT_EQ(stats.real_distance_computations, 5u);
+  EXPECT_TRUE(result.axis_covered);
+  EXPECT_TRUE(result.dist_filtered);  // y = 5
+}
+
+TEST(PlaneSweeperTest, WindowRestrictsPageSidesToIntersectingChildren) {
+  // Sides filled from real leaf pages under windows sweep exactly the
+  // window-intersecting children: the reported pairs equal a brute force
+  // over the window-filtered child lists, in both directions on both axes.
+  Random rng(31);
+  workload::Dataset r_data, s_data;
+  r_data.objects = RandomRects(rng, 60, 1000, 40);
+  s_data.objects = RandomRects(rng, 60, 1000, 40);
+  test::JoinFixture f = test::MakeFixture(r_data, s_data, /*fanout=*/100);
+  ASSERT_EQ(f.r->height(), 1);  // one leaf page per tree
+  ASSERT_EQ(f.s->height(), 1);
+  const geom::Rect r_window(100, 100, 700, 600);
+  const geom::Rect s_window(300, 0, 1000, 800);
+  std::vector<PairRef> r_kids, s_kids;
+  ASSERT_TRUE(ChildList(*f.r, RootRef(*f.r), r_window, &r_kids).ok());
+  ASSERT_TRUE(ChildList(*f.s, RootRef(*f.s), s_window, &s_kids).ok());
+  ASSERT_LT(r_kids.size(), 60u);
+  ASSERT_LT(s_kids.size(), 60u);
+  JoinOptions options;
+  options.r_window = r_window;
+  options.s_window = s_window;
+  PairEntry root = MakePair(RootRef(*f.r), RootRef(*f.s));
+  const KeyVal cutoff = Key(120.0);
+  for (int pass = 0; pass < 2; ++pass) {  // first touch, then cached
+    for (int axis = 0; axis < 2; ++axis) {
+      for (const auto dir :
+           {SweepDirection::kForward, SweepDirection::kBackward}) {
+        const SweepPlan plan{axis, dir};
+        auto arena = LoadSweepSides(*f.r, *f.s, root, plan, options);
+        ASSERT_TRUE(arena.ok());
+        KeyedSweepSpec spec;
+        spec.axis_cutoff_key = &cutoff;
+        spec.dist_cutoff_key = &kNoFilter;
+        std::set<std::pair<uint32_t, uint32_t>> seen;
+        PlaneSweepKeyed(*arena, spec, nullptr,
+                        [&](const PairRef& l, const PairRef& r, KeyVal) {
+                          EXPECT_TRUE(l.rect.Intersects(r_window));
+                          EXPECT_TRUE(r.rect.Intersects(s_window));
+                          seen.insert({l.id, r.id});
+                        });
+        EXPECT_EQ(seen, BruteWithin(r_kids, s_kids, axis, cutoff))
+            << "pass " << pass << " axis " << axis;
+      }
+    }
+  }
+  EXPECT_GT(f.r->sweep_orders().order_count(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/distance_join.h"
 #include "core/pair_entry.h"
 #include "geom/rect.h"
 #include "rtree/rtree.h"
@@ -112,6 +113,53 @@ inline void ExpectNoDuplicates(const std::vector<core::ResultPair>& results) {
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
       << "duplicate result pair";
+}
+
+/// The answers of the joins that plane-sweep (B-KDJ, AM-KDJ and SJ-SORT at
+/// k, then AM-IDJ drained to k pairs), each run from a cleared buffer pool;
+/// each join's stats go to `stats` when it is given.
+inline std::vector<std::vector<core::ResultPair>> SweepingJoins(
+    const rtree::RTree& r, const rtree::RTree& s, uint64_t k,
+    std::vector<JoinStats>* stats = nullptr) {
+  std::vector<std::vector<core::ResultPair>> out;
+  if (stats != nullptr) stats->clear();
+  for (const core::KdjAlgorithm algorithm :
+       {core::KdjAlgorithm::kBKdj, core::KdjAlgorithm::kAmKdj,
+        core::KdjAlgorithm::kSjSort}) {
+    EXPECT_TRUE(r.buffer_pool()->Clear().ok());
+    JoinStats st;
+    auto result = core::RunKDistanceJoin(r, s, k, algorithm,
+                                         core::JoinOptions{}, &st);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    out.push_back(result.ok() ? *result : std::vector<core::ResultPair>{});
+    if (stats != nullptr) stats->push_back(st);
+  }
+  EXPECT_TRUE(r.buffer_pool()->Clear().ok());
+  JoinStats st;
+  auto cursor = core::OpenIncrementalJoin(r, s, core::IdjAlgorithm::kAmIdj,
+                                          core::JoinOptions{}, &st);
+  EXPECT_TRUE(cursor.ok());
+  std::vector<core::ResultPair> pairs;
+  core::ResultPair p;
+  bool done = false;
+  while (cursor.ok() && pairs.size() < k) {
+    const Status status = (*cursor)->Next(&p, &done);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    if (!status.ok() || done) break;
+    pairs.push_back(p);
+  }
+  out.push_back(pairs);
+  if (stats != nullptr) stats->push_back(st);
+  return out;
+}
+
+/// The distance column of a join's answer.
+inline std::vector<double> Distances(
+    const std::vector<core::ResultPair>& pairs) {
+  std::vector<double> d;
+  d.reserve(pairs.size());
+  for (const core::ResultPair& p : pairs) d.push_back(p.distance);
+  return d;
 }
 
 }  // namespace amdj::test
