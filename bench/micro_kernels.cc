@@ -1,5 +1,6 @@
 // Microbenchmarks for the batched SoA distance kernels: scalar vs SSE2 vs
-// AVX2 at the batch sizes the sweep actually uses (kSweepChunk = 64 and its
+// AVX2 at small, sweep-sized and large batches (the sweep's batches grow
+// per anchor from kSweepFirstChunk = 8 to kSweepChunk = 64, with shorter
 // remainders), plus the dispatched public entry points. Backends that are
 // unavailable on the build/CPU report the best one at or below them (check
 // the console line printed at startup).
@@ -159,7 +160,7 @@ void BM_BatchFilterWithin(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchFilterWithin)->ArgsProduct({{0, 1, 2}, {7, 64, 1024}});
 
-// The dispatched public entry point at the sweep's chunk size: measures
+// The dispatched public entry point at the sweep's largest batch: measures
 // what the join hot path actually pays, including the dispatch load.
 void BM_DispatchedMinDist_Chunk64(benchmark::State& state) {
   Batch b = MakeBatch(64, 19);

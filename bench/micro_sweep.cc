@@ -1,12 +1,15 @@
 // Microbenchmarks for the sweep machinery: sweeping-index evaluation (the
 // paper argues it is "a trivial cost"; verify), one full plane sweep
-// versus the Cartesian product it replaces, and filling one sweep side
-// from a node page with and without its cached sweep order.
+// versus the Cartesian product it replaces, the sweep loop alone over two
+// filled page sides, and filling one sweep side from a node page with and
+// without its cached sweep order.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -91,12 +94,14 @@ BENCHMARK(BM_PlaneSweepKeyed)
     ->Args({113, 10000});  // loose cutoff: degenerates toward Cartesian
 
 // A full (113-entry) leaf page of an STR-loaded tree over uniform
-// rectangles, copied out of the buffer pool: the page a join sweeps.
-std::array<char, storage::kPageSize> FullLeafPage() {
+// rectangles, copied out of the buffer pool: the page a join sweeps. The
+// first leaf of every seed covers about the same region, so two seeds give
+// two overlapping pages, as a join's node pair has.
+std::array<char, storage::kPageSize> FullLeafPage(uint64_t seed = 5) {
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool(&disk, 64);
   auto tree = rtree::RTree::Create(&pool, rtree::RTree::Options()).value();
-  Random rng(5);
+  Random rng(seed);
   std::vector<rtree::Entry> objects;
   objects.reserve(4 * rtree::kMaxEntriesPerPage);
   for (uint32_t i = 0; i < 4 * rtree::kMaxEntriesPerPage; ++i) {
@@ -113,6 +118,45 @@ std::array<char, storage::kPageSize> FullLeafPage() {
   std::copy(guard->data(), guard->data() + storage::kPageSize, page.begin());
   return page;
 }
+
+// The sweep loop alone: both sides are filled once from two overlapping
+// full leaf pages, and each iteration runs only PlaneSweepKeyed over them
+// (BM_PlaneSweepKeyed also sorts both lists every iteration). A cutoff of
+// 50 is a join's tight case, where most anchors have no candidate in
+// range; 1<<20 exceeds every distance between the pages (Cartesian).
+void BM_PlaneSweepKeyedArena(benchmark::State& state) {
+  const auto left_page = FullLeafPage(5);
+  const auto right_page = FullLeafPage(6);
+  rtree::NodeView left, right;
+  AMDJ_CHECK(rtree::NodeView::Parse(left_page.data(), &left).ok());
+  AMDJ_CHECK(rtree::NodeView::Parse(right_page.data(), &right).ok());
+  rtree::SweepOrderTable orders;
+  orders.Reset(2);
+  auto arena = std::make_unique<core::SweepArena>();
+  arena->left.Build(left, 0, orders, std::nullopt, 0, true);
+  arena->right.Build(right, 1, orders, std::nullopt, 0, true);
+  AMDJ_CHECK(arena->left.size == rtree::kMaxEntriesPerPage &&
+             arena->right.size == rtree::kMaxEntriesPerPage);
+  const geom::KeyVal cutoff_key = geom::DistanceToKey(
+      geom::DistVal(static_cast<double>(state.range(0))), geom::Metric::kL2);
+  core::KeyedSweepSpec spec;
+  spec.metric = geom::Metric::kL2;
+  spec.axis_cutoff_key = &cutoff_key;
+  spec.dist_cutoff_key = &cutoff_key;
+  uint64_t emitted = 0;
+  for (auto _ : state) {
+    core::PlaneSweepKeyed(arena.get(), spec, nullptr,
+                          [&](const core::PairRef&, const core::PairRef&,
+                              geom::KeyVal) { ++emitted; });
+    benchmark::DoNotOptimize(emitted);
+  }
+  state.counters["pairs"] = benchmark::Counter(
+      static_cast<double>(emitted), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PlaneSweepKeyedArena)
+    ->ArgName("cutoff")
+    ->Arg(50)
+    ->Arg(1 << 20);
 
 // Filling one side from the page when the table has no order for it yet:
 // the sort, the order's publication, and (by the Reset each iteration)

@@ -19,12 +19,19 @@
 
 namespace amdj::core {
 
-/// Candidates per kernel batch: the cutoff-independent arithmetic (axis
-/// gaps, distance keys) of up to this many candidates is precomputed with
-/// one SIMD kernel call, then a scalar loop applies the cutoff tests —
-/// which must re-read the (possibly shrinking) cutoff per candidate and
-/// count per candidate, exactly like the pre-vectorized code.
+/// Largest kernel batch: the cutoff-independent arithmetic (axis gaps,
+/// distance keys) of up to this many candidates is precomputed with one
+/// SIMD kernel call, then a scalar loop applies the cutoff tests — which
+/// must re-read the (possibly shrinking) cutoff per candidate and count per
+/// candidate, exactly like the pre-vectorized code. An anchor whose first
+/// candidate already fails the axis test makes no kernel call at all; the
+/// others start at kSweepFirstChunk and double per batch up to this cap, so
+/// a scan that ends after a few candidates computes a few gaps, not 64.
+/// Batch sizes only decide how much is precomputed, never which candidate
+/// is tested or counted next, so they cannot move a counter or a report.
 inline constexpr std::size_t kSweepChunk = 64;
+/// An anchor's first kernel batch (8, then 16, 32, 64, 64, ...).
+inline constexpr std::size_t kSweepFirstChunk = 8;
 
 /// One side of a sweep in structure-of-arrays layout, sorted by
 /// (sweep key, id): the sweep scans `key_lo` linearly (cache-dense) and the
@@ -100,7 +107,7 @@ struct SweepSide {
   std::vector<uint8_t> order_scratch_;
 };
 
-/// The pooled per-thread sweep state: both sides plus the per-chunk kernel
+/// The pooled per-thread sweep state: both sides plus the per-batch kernel
 /// output buffers.
 struct SweepArena {
   SweepSide left;
@@ -162,8 +169,12 @@ struct KeyedSweepResult {
 /// pair is examined at most once, and within one anchor's scan candidates
 /// come in ascending axis separation.
 ///
-/// Candidate runs are evaluated through the batch kernels (axis gaps and,
-/// under L2, full MinDist keys per chunk); the callback is invoked only for
+/// Each anchor's first candidate is decided by one scalar gap (the kernels'
+/// max(0, lo - hi)) before any kernel call or ref is built: under a tight
+/// cutoff most anchors have no candidate in range and cost one compare.
+/// Past it, candidate runs are evaluated through the batch kernels (axis
+/// gaps and, under L2, full MinDist keys per batch, batches growing from
+/// kSweepFirstChunk to kSweepChunk); the callback is invoked only for
 /// survivors, as cb(lref, rref, dist_key) with dist_key a geom::KeyVal.
 ///
 /// Exact per-candidate decision sequence:
@@ -174,9 +185,12 @@ struct KeyedSweepResult {
 ///   5. dist_key <= skip_dist_below_key    -> skip (earlier stage kept it)
 ///   6. dist_key > *dist_cutoff_key        -> drop (dist_filtered)
 ///   7. cb(lref, rref, dist_key)
-/// Steps 2 and 6 re-read their cutoffs per candidate; the chunked kernel
+/// Steps 2 and 6 re-read their cutoffs per candidate; the batched kernel
 /// precomputation covers only cutoff-independent arithmetic, so batching
-/// cannot change which candidates survive.
+/// cannot change which candidates survive. The first-candidate gate runs
+/// steps 1–2 itself only when it ends the scan; when the candidate passes,
+/// it counts nothing and the batch loop tests it again against the same
+/// cutoff, so every candidate is still counted exactly once.
 template <typename Callback>
 KeyedSweepResult PlaneSweepKeyed(SweepArena* arena,
                                  const KeyedSweepSpec& spec, JoinStats* stats,
@@ -194,12 +208,21 @@ KeyedSweepResult PlaneSweepKeyed(SweepArena* arena,
     const SweepSide& other = anchor_is_left ? rhs : lhs;
     const std::size_t ai = anchor_is_left ? il++ : ir++;
     const double anchor_hi = aside.key_hi[ai];
+    std::size_t j = anchor_is_left ? ir : il;  // < other.size: loop guard
+    const double lead = other.key_lo[j] - anchor_hi;
+    if (geom::AxisGapToKey(lead > 0.0 ? lead : 0.0, spec.metric) >
+        *spec.axis_cutoff_key) {
+      if (stats != nullptr) ++stats->axis_distance_computations;
+      result.axis_covered = false;
+      continue;
+    }
     const PairRef aref = aside.RefAt(ai);
     const geom::Rect& arect = aref.rect;
-    std::size_t j = anchor_is_left ? ir : il;
+    std::size_t batch = kSweepFirstChunk;
     bool cut = false;
     while (j < other.size && !cut) {
-      const std::size_t n = std::min(kSweepChunk, other.size - j);
+      const std::size_t n = std::min(batch, other.size - j);
+      batch = std::min(2 * batch, kSweepChunk);
       geom::BatchAxisDistance(other.key_lo.data() + j, anchor_hi, n,
                               arena->axis_gap);
       if (l2) {
@@ -213,7 +236,7 @@ KeyedSweepResult PlaneSweepKeyed(SweepArena* arena,
         std::size_t m = 0;
         if (arena->axis_gap[n - 1] * arena->axis_gap[n - 1] <=
             axis_cut_now) {
-          m = n;  // gaps ascend within a chunk: whole chunk passes
+          m = n;  // gaps ascend within a batch: the whole batch passes
         } else {
           while (m < n && arena->axis_gap[m] * arena->axis_gap[m] <=
                               axis_cut_now) {

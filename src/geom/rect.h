@@ -8,6 +8,15 @@
 
 namespace amdj::geom {
 
+/// The coordinate domain: |c| <= kMaxCoord for every coordinate an input
+/// may carry. Two points inside it are at most 2 * kMaxCoord apart per
+/// axis, so the largest key any metric forms, the squared L2 diagonal
+/// 8 * kMaxCoord^2, stays finite, and with it every distance. The dataset
+/// loaders reject coordinates beyond it.
+inline constexpr double kMaxCoord = 1e150;
+static_assert(8 * kMaxCoord * kMaxCoord <
+              std::numeric_limits<double>::max());
+
 /// An axis-aligned rectangle (MBR). Degenerate rectangles (lo == hi along an
 /// axis) represent points and line-segment endpoints.
 struct Rect {

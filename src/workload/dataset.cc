@@ -32,6 +32,20 @@ bool IsFinite(const geom::Rect& r) {
   return std::isfinite(r.lo.x) && std::isfinite(r.lo.y) &&
          std::isfinite(r.hi.x) && std::isfinite(r.hi.y);
 }
+
+bool InDomain(double c) { return std::fabs(c) <= geom::kMaxCoord; }
+
+bool InDomain(const geom::Rect& r) {
+  return InDomain(r.lo.x) && InDomain(r.lo.y) && InDomain(r.hi.x) &&
+         InDomain(r.hi.y);
+}
+
+/// "coordinate beyond +/-1e+150": names the domain limit in messages.
+std::string OutOfDomain() {
+  char limit[32];
+  std::snprintf(limit, sizeof(limit), "%g", geom::kMaxCoord);
+  return std::string("coordinate beyond +/-") + limit;
+}
 }  // namespace
 
 Status Dataset::SaveTo(const std::string& path) const {
@@ -78,6 +92,10 @@ StatusOr<Dataset> Dataset::LoadFrom(const std::string& path) {
       return Status::Corruption("non-finite coordinate in object " +
                                 std::to_string(i) + " of " + path);
     }
+    if (!InDomain(ds.objects[i])) {
+      return Status::Corruption(OutOfDomain() + " in object " +
+                                std::to_string(i) + " of " + path);
+    }
   }
   return ds;
 }
@@ -98,17 +116,20 @@ StatusOr<Dataset> Dataset::FromCsv(const std::string& path) {
     double v[4];
     const int n = std::sscanf(p, "%lf , %lf , %lf , %lf", &v[0], &v[1],
                               &v[2], &v[3]);
-    const char* problem = nullptr;
+    std::string problem;
     if (n != 2 && n != 4) {
       problem = "malformed CSV row";
     } else if (!std::all_of(v, v + n,
                             [](double x) { return std::isfinite(x); })) {
       // %lf accepts nan/inf; no algorithm has a defined answer for them.
       problem = "non-finite coordinate";
+    } else if (!std::all_of(v, v + n,
+                            [](double x) { return InDomain(x); })) {
+      problem = OutOfDomain();
     }
-    if (problem != nullptr) {
+    if (!problem.empty()) {
       std::fclose(f);
-      return Status::InvalidArgument(std::string(problem) + " at line " +
+      return Status::InvalidArgument(problem + " at line " +
                                      std::to_string(lineno) + " of " +
                                      path);
     }

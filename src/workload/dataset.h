@@ -24,15 +24,15 @@ struct Dataset {
 
   /// Binary round trip for caching generated workloads between runs.
   /// LoadFrom fails with Corruption on a malformed file or on a NaN/inf
-  /// coordinate, naming the object index.
+  /// coordinate or one beyond ±geom::kMaxCoord, naming the object index.
   Status SaveTo(const std::string& path) const;
   static StatusOr<Dataset> LoadFrom(const std::string& path);
 
   /// Imports real data from CSV. Each non-empty, non-`#` line is either a
   /// point `x,y` or a rectangle `x0,y0,x1,y1` (whitespace tolerated; rows
   /// may mix). Object ids are assigned in row order. Fails with
-  /// InvalidArgument on the first malformed row or NaN/inf coordinate,
-  /// naming its line number.
+  /// InvalidArgument on the first malformed row, NaN/inf coordinate or
+  /// coordinate beyond ±geom::kMaxCoord, naming its line number.
   static StatusOr<Dataset> FromCsv(const std::string& path);
 };
 

@@ -1,9 +1,11 @@
 #include "core/plane_sweeper.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -415,6 +417,251 @@ TEST(PlaneSweeperTest, WindowRestrictsPageSidesToIntersectingChildren) {
     }
   }
   EXPECT_GT(f.r->sweep_orders().order_count(), 0u);
+}
+
+/// Everything a keyed sweep did: each report in order, both work counters
+/// and both flags.
+struct SweepTrace {
+  struct Report {
+    uint32_t l_id, r_id;
+    Rect l_rect, r_rect;
+    double dist_key;
+    bool operator==(const Report&) const = default;
+  };
+  std::vector<Report> reports;
+  uint64_t axis = 0;
+  uint64_t real = 0;
+  bool covered = true;
+  bool filtered = false;
+};
+
+/// A callback's side effects on the cutoffs, replayed identically on the
+/// sweep under test and on the reference: every `every`-th report shrinks
+/// the axis cutoff to `shrink_to_key` and the distance cutoff to 3/4 of
+/// it, and halves `shrink_to_key`; kAbort instead drops the axis cutoff
+/// below zero at report `every`, as the joins do on a failed push.
+struct CutoffPolicy {
+  enum Mode { kNone, kShrink, kAbort } mode = kNone;
+  int every = 1;
+  double shrink_to_key = 0.0;
+};
+
+/// One randomized sweep: plan, metric, skip bounds, initial cutoffs and
+/// the callback's cutoff policy.
+struct SweepCase {
+  SweepPlan plan{0, SweepDirection::kForward};
+  Metric metric = Metric::kL2;
+  KeyVal skip_axis_key = KeyedSweepSpec::kNoSkip;
+  KeyVal skip_dist_key = KeyedSweepSpec::kNoSkip;
+  KeyVal axis_cut_key, dist_cut_key;
+  CutoffPolicy policy;
+};
+
+/// The live cutoffs of one sweep, mutated by the callback per `policy`.
+struct Cutoffs {
+  explicit Cutoffs(const SweepCase& c)
+      : axis_key(c.axis_cut_key),
+        dist_key(c.dist_cut_key),
+        policy(c.policy),
+        shrink_to_key(c.policy.shrink_to_key) {}
+
+  void OnReport(std::size_t reports) {
+    const auto every = static_cast<std::size_t>(policy.every);
+    if (policy.mode == CutoffPolicy::kNone || reports % every != 0) return;
+    if (policy.mode == CutoffPolicy::kAbort) {
+      if (reports == every) axis_key = KeyVal(-1.0);
+      return;
+    }
+    axis_key = std::min(axis_key, KeyVal(shrink_to_key));
+    dist_key = std::min(dist_key, KeyVal(shrink_to_key * 0.75));
+    shrink_to_key *= 0.5;
+  }
+
+  KeyVal axis_key, dist_key;
+  CutoffPolicy policy;
+  double shrink_to_key;
+};
+
+/// The seven documented steps, one candidate at a time, straight from the
+/// ref lists: the specification PlaneSweepKeyed's gated, batched loop must
+/// reproduce.
+SweepTrace ReferenceSweep(std::vector<PairRef> left,
+                          std::vector<PairRef> right, const SweepCase& c) {
+  const bool forward = c.plan.dir == SweepDirection::kForward;
+  auto key = [&](const PairRef& p) {
+    return forward ? p.rect.lo.Coord(c.plan.axis)
+                   : -p.rect.hi.Coord(c.plan.axis);
+  };
+  auto before = [&](const PairRef& a, const PairRef& b) {
+    return key(a) != key(b) ? key(a) < key(b) : a.id < b.id;
+  };
+  std::sort(left.begin(), left.end(), before);
+  std::sort(right.begin(), right.end(), before);
+  SweepTrace trace;
+  Cutoffs cut(c);
+  std::size_t il = 0, ir = 0;
+  while (il < left.size() && ir < right.size()) {
+    const bool anchor_is_left = key(left[il]) <= key(right[ir]);
+    const PairRef& anchor = anchor_is_left ? left[il++] : right[ir++];
+    const std::vector<PairRef>& other = anchor_is_left ? right : left;
+    for (std::size_t j = anchor_is_left ? ir : il; j < other.size(); ++j) {
+      const PairRef& cand = other[j];
+      ++trace.axis;  // 1
+      const KeyVal axis_key = AxisKey(anchor, cand, c.plan.axis, c.metric);
+      if (axis_key > cut.axis_key) {  // 2
+        trace.covered = false;
+        break;
+      }
+      if (axis_key <= c.skip_axis_key) continue;  // 3
+      ++trace.real;                               // 4
+      const KeyVal dist_key =
+          geom::MinDistanceKey(anchor.rect, cand.rect, c.metric);
+      if (dist_key <= c.skip_dist_key) continue;  // 5
+      if (dist_key > cut.dist_key) {              // 6
+        trace.filtered = true;
+        continue;
+      }
+      const PairRef& l = anchor_is_left ? anchor : cand;  // 7
+      const PairRef& r = anchor_is_left ? cand : anchor;
+      trace.reports.push_back({l.id, r.id, l.rect, r.rect, dist_key.raw()});
+      cut.OnReport(trace.reports.size());
+    }
+  }
+  return trace;
+}
+
+SweepTrace KeyedSweepTrace(const std::vector<PairRef>& left,
+                           const std::vector<PairRef>& right,
+                           const SweepCase& c) {
+  SweepTrace trace;
+  Cutoffs cut(c);
+  KeyedSweepSpec spec;
+  spec.metric = c.metric;
+  spec.axis_cutoff_key = &cut.axis_key;
+  spec.dist_cutoff_key = &cut.dist_key;
+  spec.skip_axis_below_key = c.skip_axis_key;
+  spec.skip_dist_below_key = c.skip_dist_key;
+  JoinStats stats;
+  const KeyedSweepResult result = PlaneSweepKeyed(
+      left, right, c.plan, spec, &stats,
+      [&](const PairRef& l, const PairRef& r, KeyVal dist_key) {
+        trace.reports.push_back({l.id, r.id, l.rect, r.rect, dist_key.raw()});
+        cut.OnReport(trace.reports.size());
+      });
+  trace.axis = stats.axis_distance_computations;
+  trace.real = stats.real_distance_computations;
+  trace.covered = result.axis_covered;
+  trace.filtered = result.dist_filtered;
+  return trace;
+}
+
+/// `n` rects whose sweep keys tie often: on a coarse integer grid (equal
+/// keys, zero gaps, duplicates across and within sides) or continuous.
+std::vector<Rect> TieProneRects(Random& rng, std::size_t n, bool grid) {
+  std::vector<Rect> rects;
+  const double extent = std::max<double>(4.0, static_cast<double>(n) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (grid) {
+      const double x = static_cast<double>(
+          rng.UniformInt(uint64_t{static_cast<uint64_t>(extent)}));
+      const double y = static_cast<double>(
+          rng.UniformInt(uint64_t{static_cast<uint64_t>(extent)}));
+      rects.push_back(Rect(x, y, x + static_cast<double>(rng.UniformInt(
+                                          uint64_t{3})),
+                           y + static_cast<double>(rng.UniformInt(
+                                   uint64_t{3}))));
+    } else {
+      const double x = rng.Uniform(0, extent);
+      const double y = rng.Uniform(0, extent);
+      rects.push_back(Rect(x, y, x + rng.Uniform(0, 2), y + rng.Uniform(0, 2)));
+    }
+  }
+  return rects;
+}
+
+TEST(PlaneSweeperTest, MatchesOneCandidateAtATimeReference) {
+  // Side sizes straddle every kernel-batch edge (8, 8+16, 8+16+32, 64) and
+  // reach past a full page; each (left, right, metric, direction) runs a
+  // random axis, cutoff regime, skip bounds and cutoff policy.
+  const std::size_t sizes[] = {0,  1,  7,  8,  9,  15, 16,  17,
+                               31, 32, 33, 63, 64, 65, 113, 130};
+  Random rng(2024);
+  int shrunk = 0, aborted = 0, skipped_axis = 0, skipped_dist = 0, cut = 0;
+  for (const std::size_t nl : sizes) {
+    for (const std::size_t nr : sizes) {
+      for (const Metric metric : {Metric::kL2, Metric::kL1, Metric::kLInf}) {
+        for (const auto dir :
+             {SweepDirection::kForward, SweepDirection::kBackward}) {
+          const bool grid = rng.Bernoulli(0.5);
+          const auto left = MakeRefs(TieProneRects(rng, nl, grid), 0);
+          const auto right = MakeRefs(TieProneRects(rng, nr, grid), 1000);
+          SweepCase c;
+          c.metric = metric;
+          c.plan = {static_cast<int>(rng.UniformInt(uint64_t{2})), dir};
+          const double extent =
+              std::max<double>(4.0, static_cast<double>(std::max(nl, nr)));
+          // Tight (often 0: only overlapping pairs), moderate, unbounded.
+          const int regime = static_cast<int>(rng.UniformInt(uint64_t{3}));
+          const double d = regime == 0   ? std::floor(rng.Uniform(0, 2))
+                           : regime == 1 ? rng.Uniform(0, extent / 3)
+                                         : kInf;
+          c.axis_cut_key = Key(d, metric);
+          c.dist_cut_key =
+              rng.Bernoulli(0.5) ? c.axis_cut_key : Key(d * 0.8, metric);
+          const int skips = static_cast<int>(rng.UniformInt(uint64_t{4}));
+          const double skip_d = rng.Uniform(0, std::min(d, extent / 4));
+          if (skips & 1) c.skip_axis_key = Key(std::floor(skip_d), metric);
+          if (skips & 2) c.skip_dist_key = Key(skip_d, metric);
+          c.policy.mode = static_cast<CutoffPolicy::Mode>(
+              rng.UniformInt(uint64_t{3}));
+          c.policy.every = 1 + static_cast<int>(rng.UniformInt(uint64_t{5}));
+          c.policy.shrink_to_key =
+              Key(rng.Uniform(0, extent / 4), metric).raw();
+
+          const SweepTrace want = ReferenceSweep(left, right, c);
+          const SweepTrace got = KeyedSweepTrace(left, right, c);
+          const std::string where =
+              "nl=" + std::to_string(nl) + " nr=" + std::to_string(nr) +
+              " metric=" + geom::ToString(metric) +
+              " axis=" + std::to_string(c.plan.axis) +
+              " dir=" + std::to_string(static_cast<int>(dir)) +
+              " regime=" + std::to_string(regime) +
+              " skips=" + std::to_string(skips) +
+              " policy=" + std::to_string(c.policy.mode);
+          ASSERT_EQ(got.reports.size(), want.reports.size()) << where;
+          for (std::size_t i = 0; i < want.reports.size(); ++i) {
+            ASSERT_TRUE(got.reports[i] == want.reports[i])
+                << where << " report " << i << ": got (" << got.reports[i].l_id
+                << ", " << got.reports[i].r_id << "), want ("
+                << want.reports[i].l_id << ", " << want.reports[i].r_id
+                << ")";
+          }
+          EXPECT_EQ(got.axis, want.axis) << where;
+          EXPECT_EQ(got.real, want.real) << where;
+          EXPECT_EQ(got.covered, want.covered) << where;
+          EXPECT_EQ(got.filtered, want.filtered) << where;
+          const auto every = static_cast<std::size_t>(c.policy.every);
+          if (c.policy.mode == CutoffPolicy::kShrink &&
+              want.reports.size() >= every) {
+            ++shrunk;
+          }
+          if (c.policy.mode == CutoffPolicy::kAbort &&
+              want.reports.size() == every) {
+            ++aborted;
+          }
+          if (skips & 1) ++skipped_axis;
+          if (skips & 2) ++skipped_dist;
+          if (!want.covered) ++cut;
+        }
+      }
+    }
+  }
+  // Every behaviour the reference covers was actually exercised.
+  EXPECT_GT(shrunk, 50);
+  EXPECT_GT(aborted, 50);
+  EXPECT_GT(skipped_axis, 100);
+  EXPECT_GT(skipped_dist, 100);
+  EXPECT_GT(cut, 100);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -247,7 +249,7 @@ TEST(DatasetTest, FromCsvRejectsMalformedRowWithLineNumber) {
                           "0,0,nan,1\n"}) {
     f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("1e200,0\n", f);
+    std::fputs("1e150,0\n", f);
     std::fputs(row, f);
     std::fclose(f);
     ds = Dataset::FromCsv(path);
@@ -258,6 +260,76 @@ TEST(DatasetTest, FromCsvRejectsMalformedRowWithLineNumber) {
         << ds.status().ToString();
     std::remove(path.c_str());
   }
+}
+
+// Coordinates at +/-kMaxCoord load; the next double beyond it, on either
+// side and in any column, is rejected naming the line.
+TEST(DatasetTest, FromCsvAcceptsDomainEdgeAndRejectsBeyond) {
+  const std::string path = ::testing::TempDir() + "/amdj_csv_domain.csv";
+  const double edge = geom::kMaxCoord;
+  const double beyond = std::nextafter(edge, HUGE_VAL);
+  auto text = [](double x) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+    return std::string(buf);
+  };
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs((text(edge) + "," + text(-edge) + "\n").c_str(), f);
+  std::fputs((text(-edge) + "," + text(-edge) + "," + text(edge) + "," +
+              text(edge) + "\n")
+                 .c_str(),
+             f);
+  std::fclose(f);
+  auto ds = Dataset::FromCsv(path);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_EQ(ds->objects.size(), 2u);
+  EXPECT_EQ(ds->objects[0], geom::Rect(edge, -edge, edge, -edge));
+  EXPECT_EQ(ds->objects[1], geom::Rect(-edge, -edge, edge, edge));
+
+  for (const std::string& row :
+       {text(beyond) + ",0", "0," + text(-beyond),
+        "0,0,1," + text(beyond), text(-beyond) + ",0,1,1"}) {
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("0,0\n", f);
+    std::fputs((row + "\n").c_str(), f);
+    std::fclose(f);
+    ds = Dataset::FromCsv(path);
+    ASSERT_FALSE(ds.ok()) << row;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument) << row;
+    EXPECT_NE(ds.status().message().find(
+                  "coordinate beyond +/-1e+150 at line 2"),
+              std::string::npos)
+        << ds.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetTest, LoadFromAcceptsDomainEdgeAndRejectsBeyond) {
+  const std::string path = ::testing::TempDir() + "/amdj_ds_domain.bin";
+  const double edge = geom::kMaxCoord;
+  Dataset ds = UniformRects(5, 20.0, 5);
+  ds.objects[1] = geom::Rect(-edge, -edge, edge, edge);
+  ASSERT_TRUE(ds.SaveTo(path).ok());
+  auto loaded = Dataset::LoadFrom(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->objects[1], ds.objects[1]);
+
+  for (const double bad : {std::nextafter(edge, HUGE_VAL),
+                           std::nextafter(-edge, -HUGE_VAL)}) {
+    Dataset beyond = ds;
+    beyond.objects[3].lo.y = bad;
+    ASSERT_TRUE(beyond.SaveTo(path).ok());
+    loaded = Dataset::LoadFrom(path);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(
+                  "coordinate beyond +/-1e+150 in object 3"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(DatasetTest, BoundsCoverEverything) {
