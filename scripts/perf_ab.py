@@ -26,6 +26,8 @@ usage or build error.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -111,12 +113,30 @@ def differing_counters(base_files, change_files, seeds):
             or base_files[seed] != change_files[seed]]
 
 
+def holds_no_counters(data):
+    """True if a counter file is an empty JSON object (or empty)."""
+    try:
+        return not json.loads(data or b"{}")
+    except ValueError:
+        return False
+
+
+def empty_counters(base_files, change_files, seeds):
+    """Seeds whose counter files on both sides hold no counters: equal
+    bytes there show nothing about the work done."""
+    return [seed for seed in sorted(seeds)
+            if seed in base_files and seed in change_files
+            and holds_no_counters(base_files[seed])
+            and holds_no_counters(change_files[seed])]
+
+
 def format_value(value):
     return f"{value:.6g}"
 
 
-def report(rows, runs, differing, seeds):
-    """Prints the table and the verdict; returns the exit status."""
+def report(rows, runs, differing, seeds, empty=()):
+    """Prints the table and the verdict; returns the exit status. `empty`
+    lists the seeds whose counter files hold no counters on either side."""
     print(f"{'metric':28s} {'better':6s} {'base median [IQR]':>24s} "
           f"{'change median [IQR]':>24s} {'ratio':>7s} {'won':>5s}")
     for row in rows:
@@ -137,8 +157,14 @@ def report(rows, runs, differing, seeds):
     if differing:
         print("counter files that differ between the sides (seed): " +
               ", ".join(str(s) for s in differing))
-    else:
+    equal = len(seeds) - len(differing) - len(empty)
+    if empty and equal == 0 and not differing:
+        print(f"counter files: no counters recorded ({len(empty)} seeds)")
+    elif not differing and not empty:
         print(f"counter files: all {len(seeds)} seeds byte-equal")
+    elif empty:
+        print(f"counter files: {equal} seeds byte-equal, {len(empty)} with "
+              "no counters recorded")
     regressions = [row["name"] for row in rows if row["regression"]]
     print(f"verdict: {len(incorrect)} incorrect run(s), "
           f"{len(regressions)} metric(s) past bound"
@@ -244,6 +270,31 @@ def self_test():
                        differing_counters(sides["base"], sides["change"],
                                           {1, 2, 3}) == [2, 3]))
 
+        for side, files in (("base", {"svc_open-1-aaaa.json": b"{}",
+                                      "svc_open-2-aaaa.json": b"{}\n"}),
+                            ("change", {"svc_open-1-bbbb.json": b"{}",
+                                        "svc_open-2-bbbb.json": b"{}\n"})):
+            counters = os.path.join(tmp, "empty", side, "perfbench-0123",
+                                    "counters")
+            os.makedirs(counters)
+            for name, data in files.items():
+                with open(os.path.join(counters, name), "wb") as f:
+                    f.write(data)
+            sides[side] = counter_files(os.path.join(tmp, "empty", side),
+                                        "svc_open", {1, 2})
+        checks.append(("empty counter files found",
+                       empty_counters(sides["base"], sides["change"],
+                                      {1, 2}) == [1, 2]))
+        checks.append(("non-empty counter files are not empty",
+                       empty_counters({1: b'{"n": 1}'}, {1: b'{"n": 1}'},
+                                      {1}) == []))
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output):
+            report(summarize(metrics, pairs[:1]), [], [], [1, 2], [1, 2])
+        checks.append(("empty counter files claim nothing",
+                       "no counters recorded (2 seeds)" in output.getvalue()
+                       and "byte-equal" not in output.getvalue()))
+
     runs = [("base", 1, pairs[0][0]), ("change", 1, pairs[0][1])]
     checks.append(("all correct exits 0", report(
         summarize(metrics, pairs[:1]), runs, [], {1}) == 0))
@@ -316,8 +367,9 @@ def main():
                 for label, checkout in sides.items()}
     differing = differing_counters(counters["base"], counters["change"],
                                    set(seeds))
+    empty = empty_counters(counters["base"], counters["change"], set(seeds))
     print()
-    return report(summarize(metrics, pairs), runs, differing, seeds)
+    return report(summarize(metrics, pairs), runs, differing, seeds, empty)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,6 @@
 
 #include "common/run_report.h"
 #include "common/trace.h"
-#include "core/expansion.h"
-#include "core/plane_sweeper.h"
 
 namespace amdj::core {
 
@@ -20,8 +18,7 @@ AmIdjCursor::AmIdjCursor(const rtree::RTree& r, const rtree::RTree& s,
                           options.metric),
       estimator_(options_.estimator != nullptr ? options_.estimator
                                                 : &fallback_estimator_),
-      queue_(MakeMainQueueOptions(r, s, options), stats_,
-             MakeMainQueueCompare(options)) {}
+      engine_(r, s, options_, stats_, nullptr) {}
 
 void AmIdjCursor::PrefetchHint(uint64_t k) {
   target_hint_ = std::max(target_hint_, k);
@@ -54,8 +51,8 @@ Status AmIdjCursor::Prime() {
   AMDJ_TRACE(options_.tracer,
              Instant("stage_start",
                      {{"stage", 1.0}, {"edmax", first.raw()}}));
-  edmax_ = geom::DistanceToKeyCutoff(first, options_.metric);
-  return queue_.Push(MakePair(RootRef(r_), RootRef(s_), options_.metric));
+  engine_.set_edmax(geom::DistanceToKeyCutoff(first, options_.metric));
+  return engine_.PushRoot();
 }
 
 Status AmIdjCursor::StartNewStage() {
@@ -100,8 +97,7 @@ Status AmIdjCursor::StartNewStage() {
   // estimate). Applied in distance space — the estimator's native units —
   // before the key-space conversion; the key round-trips exactly
   // (sqrt(fl(d*d)) == d), so the growth schedule is unchanged.
-  const geom::DistVal edmax_dist =
-      geom::KeyToDistance(edmax_, options_.metric);
+  const geom::DistVal edmax_dist = current_edmax();
   if (next <= edmax_dist) {
     // Raw view: the 1.5x growth schedule is distance-space arithmetic.
     next = edmax_dist > geom::DistVal::Zero()
@@ -121,117 +117,31 @@ Status AmIdjCursor::StartNewStage() {
                       {"edmax", next.raw()},
                       {"produced", static_cast<double>(produced_)},
                       {"recovered",
-                       static_cast<double>(compensation_.size())}}));
-  edmax_ = geom::DistanceToKeyCutoff(next, options_.metric);
-  for (const PairEntry& e : compensation_) {
-    AMDJ_RETURN_IF_ERROR(queue_.Push(e));
-  }
-  compensation_.clear();
-  return Status::OK();
-}
-
-Status AmIdjCursor::Expand(PairEntry c) {
-  ++stats_->node_expansions;
-  TraceSpan span(options_.tracer, "expand_sweep",
-                 {{"r_level", static_cast<double>(c.r.level)},
-                  {"s_level", static_cast<double>(c.s.level)},
-                  {"key", c.key.raw()}});
-  SweepPlan plan;
-  geom::KeyVal prior{-1.0};
-  if (c.WasExpanded()) {
-    // Resume the earlier sweep: same axis and direction reproduce the
-    // earlier enumeration order, so the examined region is exactly
-    // { axis <= prior, real <= prior }.
-    plan.axis = c.prior_axis;
-    plan.dir = c.prior_dir == 0 ? geom::SweepDirection::kForward
-                                : geom::SweepDirection::kBackward;
-    prior = c.prior_cutoff;
-  } else {
-    plan = ChooseSweepPlan(c.r.rect, c.s.rect,
-                           geom::KeyToDistance(edmax_, options_.metric),
-                           options_.sweep);
-  }
-  auto arena = LoadSweepSides(r_, s_, c, plan, options_);
-  if (!arena.ok()) return arena.status();
-
-  Status sweep_status;
-  geom::KeyVal axis_cutoff = edmax_;
-  KeyedSweepSpec spec;
-  spec.metric = options_.metric;
-  spec.axis_cutoff_key = &axis_cutoff;
-  // A child with key > eDmax is dropped but recoverable in a later stage;
-  // the sweep records the drop in `dist_filtered`.
-  spec.dist_cutoff_key = &edmax_;
-  // Pairs in the previously examined region were already inserted (or
-  // emitted) by the earlier stage; in the prefix axis <= prior, exactly
-  // those with key <= prior. (In the suffix key >= axis > prior, so the
-  // test never misfires.)
-  spec.skip_dist_below_key = prior;
-  const KeyedSweepResult sweep = PlaneSweepKeyed(
-      *arena, spec, stats_,
-      [&](const PairRef& lref, const PairRef& rref, geom::KeyVal dist_key) {
-        if (!sweep_status.ok()) return;
-        if (options_.exclude_same_id && IsSelfPair(lref, rref)) return;
-        PairEntry e;
-        e.r = lref;
-        e.s = rref;
-        e.key = dist_key;
-        sweep_status = queue_.Push(e);
-        if (!sweep_status.ok()) {
-          axis_cutoff = geom::KeyVal(-1.0);  // abort the sweep
-        }
-      });
-  AMDJ_RETURN_IF_ERROR(sweep_status);
-
-  if (!sweep.axis_covered || sweep.dist_filtered) {
-    // The expansion skipped children that a later, larger cutoff could
-    // admit: record it (with the cutoff that bounds the examined region)
-    // for compensation. Fully covered pairs never re-enter — this is what
-    // guarantees termination once eDmax exceeds the data diameter. The max
-    // keeps the bookkeeping exact if a forced cutoff ever shrinks.
-    c.prior_cutoff = std::max(edmax_, prior);
-    c.prior_axis = static_cast<int8_t>(plan.axis);
-    c.prior_dir =
-        plan.dir == geom::SweepDirection::kForward ? int8_t{0} : int8_t{1};
-    compensation_.push_back(c);
-    ++stats_->compensation_queue_insertions;
-  }
-  return Status::OK();
+                       static_cast<double>(engine_.compensation_size())}}));
+  engine_.set_edmax(geom::DistanceToKeyCutoff(next, options_.metric));
+  return engine_.Recover();
 }
 
 Status AmIdjCursor::Next(ResultPair* out, bool* done) {
   *done = false;
   if (!primed_) AMDJ_RETURN_IF_ERROR(Prime());
-  PairEntry c;
   while (!exhausted_) {
-    if (queue_.Empty()) {
-      if (compensation_.empty()) {
-        exhausted_ = true;
-        break;
-      }
-      AMDJ_RETURN_IF_ERROR(StartNewStage());
-      continue;
-    }
-    AMDJ_RETURN_IF_ERROR(queue_.Pop(&c));
-    if (c.key > edmax_) {
-      // Everything within the current cutoff has been surfaced; grow it
-      // and recover the aggressively pruned children before going deeper.
-      // Checked before emission: an object pair beyond the cutoff must not
-      // overtake pruned-but-closer pairs (can only arise under a forced,
-      // shrinking cutoff schedule, but order is sacred).
-      AMDJ_RETURN_IF_ERROR(queue_.Push(c));
-      AMDJ_RETURN_IF_ERROR(StartNewStage());
-      continue;
-    }
-    if (c.IsObjectPair()) {
-      const geom::DistVal dist = geom::KeyToDistance(c.key, options_.metric);
-      *out = {dist.raw(), c.r.id, c.s.id};
-      last_distance_ = dist;
+    bool emitted = false;
+    AMDJ_RETURN_IF_ERROR(engine_.Step(out, &emitted));
+    if (emitted) {
+      last_distance_ = geom::DistVal(out->distance);
       ++produced_;
-      ++stats_->pairs_produced;
       return Status::OK();
     }
-    AMDJ_RETURN_IF_ERROR(Expand(c));
+    if (engine_.Exhausted()) {
+      exhausted_ = true;
+      break;
+    }
+    // Everything within the current cutoff has been surfaced (a pair
+    // beyond it was put back, or the main queue ran dry with pruned pairs
+    // in Qc): grow the cutoff and recover the pruned children before going
+    // deeper.
+    AMDJ_RETURN_IF_ERROR(StartNewStage());
   }
   *done = true;
   return Status::OK();

@@ -2,13 +2,12 @@
 #define AMDJ_CORE_AMIDJ_H_
 
 #include <optional>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "core/best_first.h"
 #include "core/cursor.h"
 #include "core/dmax_estimator.h"
-#include "core/hs_join.h"
 #include "core/options.h"
 #include "core/pair_entry.h"
 #include "geom/metric.h"
@@ -49,7 +48,8 @@ class AmIdjCursor : public DistanceJoinCursor {
   /// Cutoff of the stage currently executing, as a distance (the internal
   /// cutoff lives in key space; this converts at the API boundary).
   geom::DistVal current_edmax() const {
-    return geom::KeyToDistance(edmax_, options_.metric);
+    return geom::KeyToDistance(
+        engine_.edmax().value_or(geom::KeyVal::Zero()), options_.metric);
   }
   /// Number of stages started so far (1 after the first Next()).
   uint32_t stage_count() const { return stage_count_; }
@@ -59,9 +59,6 @@ class AmIdjCursor : public DistanceJoinCursor {
   /// Moves the compensation queue into the main queue under a freshly
   /// estimated (or forced) larger cutoff.
   Status StartNewStage();
-  /// Expands a node pair under the current eDmax, resuming a previous
-  /// partial sweep when the pair carries compensation bookkeeping.
-  Status Expand(PairEntry c);
 
   const rtree::RTree& r_;
   const rtree::RTree& s_;
@@ -70,11 +67,10 @@ class AmIdjCursor : public DistanceJoinCursor {
   JoinStats local_stats_;
   DmaxEstimator fallback_estimator_;
   const CutoffEstimator* estimator_;  // options_.estimator or the fallback
-  MainQueue queue_;
-  std::vector<PairEntry> compensation_;
-  /// Stage cutoff in key space (geom::KeyVal), like every internal
-  /// cutoff; estimator calls and the public accessors convert.
-  geom::KeyVal edmax_ = geom::KeyVal::Zero();
+  /// Stages run with an eDmax and no qDmax tracker; the engine holds the
+  /// stage cutoff in key space, and estimator calls and the public
+  /// accessors convert.
+  BestFirstJoin engine_;
   std::optional<geom::DistVal> forced_next_edmax_;
   uint64_t target_hint_ = 0;
   uint64_t produced_ = 0;

@@ -29,14 +29,6 @@ void AppendDouble(std::string* out, double v) {
   AppendU64(out, bits);
 }
 
-void AppendOptDouble(std::string* out, const std::optional<double>& v) {
-  if (v.has_value()) {
-    AppendDouble(out, *v);
-  } else {
-    *out += "n|";
-  }
-}
-
 void AppendOptDist(std::string* out, const std::optional<geom::DistVal>& v) {
   if (v.has_value()) {
     // Raw view: the key is a byte fingerprint, unit-less by construction.

@@ -173,7 +173,7 @@ TEST(CostModelTest, DeltaSubtractsCounters) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   const double before_reset = t.ElapsedSeconds();
   t.Reset();

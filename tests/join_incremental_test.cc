@@ -47,7 +47,9 @@ TEST_P(IdjTest, ProducesAllPairsInOrder) {
   ASSERT_EQ(results.size(), brute.size());  // exhausts exactly the product
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_NEAR(results[i].distance, brute[i], 1e-9) << "rank " << i;
-    if (i > 0) EXPECT_GE(results[i].distance, results[i - 1].distance);
+    if (i > 0) {
+      EXPECT_GE(results[i].distance, results[i - 1].distance);
+    }
   }
   ExpectNoDuplicates(results);
   EXPECT_EQ((*cursor)->produced(), brute.size());

@@ -47,7 +47,9 @@ void ExpectMatches(const std::vector<SemiJoinResult>& got,
   ASSERT_EQ(got.size(), brute.size());
   // Distances per rank match...
   for (size_t i = 0; i < got.size(); ++i) {
-    if (i > 0) EXPECT_GE(got[i].distance, got[i - 1].distance);
+    if (i > 0) {
+      EXPECT_GE(got[i].distance, got[i - 1].distance);
+    }
     ASSERT_NEAR(got[i].distance, brute[i].distance, 1e-9) << "rank " << i;
   }
   // ...and per R object the partner distance is the true minimum (partner
