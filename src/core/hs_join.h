@@ -29,6 +29,12 @@ inline PairEntryCompare MakeMainQueueCompare(const JoinOptions& options) {
   return PairEntryCompare{options.tie_break == TieBreak::kObjectsFirst};
 }
 
+/// Closes a k-distance join's last report phase, recording the answer's
+/// last distance as "final_dmax". No-op without options.report.
+void FinishKdjReport(const JoinOptions& options,
+                     const std::vector<ResultPair>& results,
+                     const JoinStats& stats);
+
 /// Hjaltason & Samet's k-distance join (SIGMOD'98), the paper's HS-KDJ
 /// baseline: top-down traversal with *uni-directional* node expansion — a
 /// dequeued pair <r, s> pairs the children of one node with the other node
